@@ -5,26 +5,9 @@
 //! data). One structure serves both L1s (which ignore the MESI field beyond
 //! valid/invalid) and the coherent L2s.
 //!
-//! ## Two storage layouts, gated on intended lifetime
-//!
-//! * **Per-run** ([`Cache::new`]): per-set `Vec<Line>` grown lazily. A
-//!   one-shot simulation builds a fresh hierarchy per run and touches a
-//!   sparse fraction of the paper L2's 12288 sets, so paying allocation
-//!   only for sets actually used wins — preallocating everything would be
-//!   pure constructor overhead that the run never amortizes.
-//! * **Resident** ([`Cache::new_resident`]): flat structure-of-arrays set
-//!   storage — one contiguous `addrs` array and one `metas` array, each
-//!   `n_sets × ways`, with per-set occupancy counts. A long-lived
-//!   hierarchy probed millions of times (the serve path's shared resident
-//!   state) amortizes the up-front footprint immediately, and the 4-wide
-//!   tag compare then streams *contiguous* 8-byte tags instead of
-//!   striding over 16-byte AoS lines: half the bytes per probed way, and
-//!   a layout the compiler can keep in vector registers.
-//!
-//! Both layouts implement identical semantics — same LRU stamps, same
-//! eviction choices (the resident layout's swap-into-victim-slot compaction
-//! is exactly `Vec::swap_remove`) — which the parity test drives with a
-//! randomized operation trace.
+//! Sets are per-set `Vec<Line>`s grown lazily: a simulation builds a
+//! fresh hierarchy per run and touches a sparse fraction of the paper L2's
+//! 12288 sets, so allocation is paid only for sets actually used.
 
 use crate::config::CacheConfig;
 use crate::mesi::MesiState;
@@ -95,8 +78,7 @@ fn pack_meta(state: MesiState, stamp: u64) -> u64 {
 /// which measurably beats the scalar scan on the paper's 8-way L2 (see the
 /// `tag_compare` benchmark). Tag order inside a set is unrelated to
 /// recency (LRU lives in `meta`), so returning the first match preserves
-/// behaviour exactly. On the resident SoA layout the tags are contiguous
-/// `u64`s, so the four loads sit in one or two cache lines.
+/// behaviour exactly.
 #[inline(always)]
 fn scan4(n: usize, addr: u64, tag: impl Fn(usize) -> u64) -> Option<usize> {
     let mut i = 0;
@@ -149,170 +131,12 @@ pub fn way_scan_unrolled(set: &[(u64, u64)], addr: u64) -> Option<usize> {
     scan4(set.len(), addr, |i| set[i].0)
 }
 
-/// Set storage, chosen by the cache's intended lifetime (see the module
-/// docs). Every operation is expressed against this narrow interface so
-/// the two layouts cannot drift semantically.
-#[derive(Debug, Clone)]
-enum SetStore {
-    /// Lazily-grown per-set AoS vectors (per-run default).
-    PerRun { sets: Vec<Vec<Line>> },
-    /// Flat SoA arrays preallocated to `n_sets × ways` (resident).
-    /// Occupied ways of a set are packed at the front of its lane; a
-    /// removal swaps the last occupied way into the hole, mirroring
-    /// `Vec::swap_remove` exactly.
-    Resident {
-        ways: usize,
-        /// Occupied ways per set.
-        occ: Vec<u32>,
-        /// `addrs[set * ways + way]` — contiguous tags per set lane.
-        addrs: Vec<u64>,
-        /// `metas[set * ways + way]` — stamps + states, same indexing.
-        metas: Vec<u64>,
-    },
-}
-
-impl SetStore {
-    fn per_run(n_sets: usize) -> Self {
-        SetStore::PerRun {
-            sets: vec![Vec::new(); n_sets],
-        }
-    }
-
-    fn resident(n_sets: usize, ways: usize) -> Self {
-        SetStore::Resident {
-            ways,
-            occ: vec![0; n_sets],
-            addrs: vec![u64::MAX; n_sets * ways],
-            metas: vec![0; n_sets * ways],
-        }
-    }
-
-    /// Occupied ways in `set`.
-    #[inline]
-    fn len(&self, set: usize) -> usize {
-        match self {
-            SetStore::PerRun { sets } => sets[set].len(),
-            SetStore::Resident { occ, .. } => occ[set] as usize,
-        }
-    }
-
-    /// Way holding `addr` in `set`, if any (4-wide tag compare).
-    #[inline]
-    fn find(&self, set: usize, addr: u64) -> Option<usize> {
-        match self {
-            SetStore::PerRun { sets } => find_way(&sets[set], addr),
-            SetStore::Resident {
-                ways, occ, addrs, ..
-            } => {
-                let lane = &addrs[set * ways..set * ways + occ[set] as usize];
-                scan4(lane.len(), addr, |i| lane[i])
-            }
-        }
-    }
-
-    #[inline]
-    fn meta(&self, set: usize, way: usize) -> u64 {
-        match self {
-            SetStore::PerRun { sets } => sets[set][way].meta,
-            SetStore::Resident { ways, metas, .. } => metas[set * ways + way],
-        }
-    }
-
-    #[inline]
-    fn set_meta(&mut self, set: usize, way: usize, meta: u64) {
-        match self {
-            SetStore::PerRun { sets } => sets[set][way].meta = meta,
-            SetStore::Resident { ways, metas, .. } => metas[set * *ways + way] = meta,
-        }
-    }
-
-    /// Way with the minimal `meta` (the LRU victim) in a non-empty set.
-    #[inline]
-    fn min_meta_way(&self, set: usize) -> usize {
-        match self {
-            SetStore::PerRun { sets } => {
-                sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.meta)
-                    .expect("full set is non-empty")
-                    .0
-            }
-            SetStore::Resident {
-                ways, occ, metas, ..
-            } => {
-                let lane = &metas[set * ways..set * ways + occ[set] as usize];
-                lane.iter()
-                    .enumerate()
-                    .min_by_key(|(_, m)| **m)
-                    .expect("full set is non-empty")
-                    .0
-            }
-        }
-    }
-
-    /// Remove `way` from `set`, swapping the last occupied way into the
-    /// hole. Returns the removed `(addr, meta)`.
-    #[inline]
-    fn swap_remove(&mut self, set: usize, way: usize) -> (u64, u64) {
-        match self {
-            SetStore::PerRun { sets } => {
-                let line = sets[set].swap_remove(way);
-                (line.addr, line.meta)
-            }
-            SetStore::Resident {
-                ways,
-                occ,
-                addrs,
-                metas,
-            } => {
-                let base = set * *ways;
-                let last = occ[set] as usize - 1;
-                let removed = (addrs[base + way], metas[base + way]);
-                addrs[base + way] = addrs[base + last];
-                metas[base + way] = metas[base + last];
-                addrs[base + last] = u64::MAX;
-                occ[set] = last as u32;
-                removed
-            }
-        }
-    }
-
-    /// Append a line to `set`. The caller guarantees a free way.
-    #[inline]
-    fn push(&mut self, set: usize, addr: u64, meta: u64) {
-        match self {
-            SetStore::PerRun { sets } => sets[set].push(Line { addr, meta }),
-            SetStore::Resident {
-                ways,
-                occ,
-                addrs,
-                metas,
-            } => {
-                let n = occ[set] as usize;
-                debug_assert!(n < *ways, "push into a full set");
-                let slot = set * *ways + n;
-                addrs[slot] = addr;
-                metas[slot] = meta;
-                occ[set] = (n + 1) as u32;
-            }
-        }
-    }
-
-    fn occupancy(&self) -> usize {
-        match self {
-            SetStore::PerRun { sets } => sets.iter().map(Vec::len).sum(),
-            SetStore::Resident { occ, .. } => occ.iter().map(|&n| n as usize).sum(),
-        }
-    }
-}
-
 /// Set-associative cache of line metadata.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per-set line storage; layout gated on intended lifetime.
-    store: SetStore,
+    /// Per-set line storage, grown on first use.
+    sets: Vec<Vec<Line>>,
     n_sets: usize,
     /// `n_sets - 1` when the set count is a power of two, else `usize::MAX`.
     /// Lets the per-access index computation use a mask instead of a
@@ -335,34 +159,16 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Create an empty cache with lazily-grown per-run set storage — the
-    /// right layout when the cache lives for one simulated run.
+    /// Create an empty cache.
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Self {
-        Cache::with_store(config, SetStore::per_run)
-    }
-
-    /// Create an empty cache with preallocated flat SoA set storage — the
-    /// right layout when the cache is resident: built once and probed for
-    /// the lifetime of a process (the serve path's shared hierarchy). The
-    /// full `sets × ways` footprint is paid up front; tag scans then run
-    /// over contiguous `u64` arrays. Semantics are identical to
-    /// [`Cache::new`].
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
-    pub fn new_resident(config: CacheConfig) -> Self {
-        Cache::with_store(config, |n_sets| SetStore::resident(n_sets, config.ways))
-    }
-
-    fn with_store(config: CacheConfig, store: impl FnOnce(usize) -> SetStore) -> Self {
         config.validate();
         let n_sets = config.sets();
         Cache {
             config,
-            store: store(n_sets),
+            sets: vec![Vec::new(); n_sets],
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
@@ -379,11 +185,6 @@ impl Cache {
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Whether this cache uses the resident (SoA, preallocated) layout.
-    pub fn is_resident(&self) -> bool {
-        matches!(self.store, SetStore::Resident { .. })
     }
 
     #[inline]
@@ -408,10 +209,10 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_index(addr);
-        let way = self.store.find(set, addr.0)?;
-        let meta = self.store.meta(set, way);
-        let state = decode_state(meta);
-        self.store.set_meta(set, way, (clock << 2) | (meta & 3));
+        let way = find_way(&self.sets[set], addr.0)?;
+        let line = &mut self.sets[set][way];
+        let state = decode_state(line.meta);
+        line.meta = (clock << 2) | (line.meta & 3);
         self.hot_addr = addr.0;
         self.hot_state = state;
         Some(state)
@@ -424,19 +225,17 @@ impl Cache {
             return Some(self.hot_state);
         }
         let set = self.set_index(addr);
-        self.store
-            .find(set, addr.0)
-            .map(|way| decode_state(self.store.meta(set, way)))
+        let lines = &self.sets[set];
+        find_way(lines, addr.0).map(|way| decode_state(lines[way].meta))
     }
 
     /// Change the state of a resident line. Returns `false` if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
         debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
         let set = self.set_index(addr);
-        if let Some(way) = self.store.find(set, addr.0) {
-            let meta = self.store.meta(set, way);
-            self.store
-                .set_meta(set, way, (meta & !3) | encode_state(state));
+        if let Some(way) = find_way(&self.sets[set], addr.0) {
+            let line = &mut self.sets[set][way];
+            line.meta = (line.meta & !3) | encode_state(state);
             if addr.0 == self.hot_addr {
                 self.hot_state = state;
             }
@@ -454,11 +253,10 @@ impl Cache {
     pub fn replace_state(&mut self, addr: LineAddr, state: MesiState) -> Option<MesiState> {
         debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
         let set = self.set_index(addr);
-        let way = self.store.find(set, addr.0)?;
-        let meta = self.store.meta(set, way);
-        let old = decode_state(meta);
-        self.store
-            .set_meta(set, way, (meta & !3) | encode_state(state));
+        let way = find_way(&self.sets[set], addr.0)?;
+        let line = &mut self.sets[set][way];
+        let old = decode_state(line.meta);
+        line.meta = (line.meta & !3) | encode_state(state);
         if addr.0 == self.hot_addr {
             self.hot_state = state;
         }
@@ -469,14 +267,20 @@ impl Cache {
     /// was the victim.
     #[inline]
     fn evict_lru(&mut self, set: usize) -> EvictedLine {
-        let victim_way = self.store.min_meta_way(set);
-        let (vaddr, vmeta) = self.store.swap_remove(set, victim_way);
-        if vaddr == self.hot_addr {
+        let lines = &mut self.sets[set];
+        let victim_way = lines
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.meta)
+            .expect("full set is non-empty")
+            .0;
+        let victim = lines.swap_remove(victim_way);
+        if victim.addr == self.hot_addr {
             self.hot_addr = u64::MAX;
         }
         EvictedLine {
-            addr: LineAddr(vaddr),
-            state: decode_state(vmeta),
+            addr: LineAddr(victim.addr),
+            state: decode_state(victim.meta),
         }
     }
 
@@ -491,15 +295,18 @@ impl Cache {
         let clock = self.clock;
         let set = self.set_index(addr);
         debug_assert!(
-            self.store.find(set, addr.0).is_none(),
+            find_way(&self.sets[set], addr.0).is_none(),
             "insert of already-resident line {addr:?}"
         );
-        let evicted = if self.store.len(set) == self.config.ways {
+        let evicted = if self.sets[set].len() == self.config.ways {
             Some(self.evict_lru(set))
         } else {
             None
         };
-        self.store.push(set, addr.0, pack_meta(state, clock));
+        self.sets[set].push(Line {
+            addr: addr.0,
+            meta: pack_meta(state, clock),
+        });
         self.hot_addr = addr.0;
         self.hot_state = state;
         evicted
@@ -522,20 +329,23 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_index(addr);
-        if let Some(way) = self.store.find(set, addr.0) {
-            let meta = self.store.meta(set, way);
-            let resident = decode_state(meta);
-            self.store.set_meta(set, way, (clock << 2) | (meta & 3));
+        if let Some(way) = find_way(&self.sets[set], addr.0) {
+            let line = &mut self.sets[set][way];
+            let resident = decode_state(line.meta);
+            line.meta = (clock << 2) | (line.meta & 3);
             self.hot_addr = addr.0;
             self.hot_state = resident;
             return (true, None);
         }
-        let evicted = if self.store.len(set) == self.config.ways {
+        let evicted = if self.sets[set].len() == self.config.ways {
             Some(self.evict_lru(set))
         } else {
             None
         };
-        self.store.push(set, addr.0, pack_meta(state, clock));
+        self.sets[set].push(Line {
+            addr: addr.0,
+            meta: pack_meta(state, clock),
+        });
         self.hot_addr = addr.0;
         self.hot_state = state;
         (false, evicted)
@@ -550,17 +360,20 @@ impl Cache {
             return None;
         }
         let set = self.set_index(addr);
-        if self.store.find(set, addr.0).is_some() {
+        if find_way(&self.sets[set], addr.0).is_some() {
             return None;
         }
         self.clock += 1;
         let clock = self.clock;
-        let evicted = if self.store.len(set) == self.config.ways {
+        let evicted = if self.sets[set].len() == self.config.ways {
             Some(self.evict_lru(set))
         } else {
             None
         };
-        self.store.push(set, addr.0, pack_meta(state, clock));
+        self.sets[set].push(Line {
+            addr: addr.0,
+            meta: pack_meta(state, clock),
+        });
         self.hot_addr = addr.0;
         self.hot_state = state;
         evicted
@@ -574,36 +387,21 @@ impl Cache {
             self.hot_addr = u64::MAX;
         }
         let set = self.set_index(addr);
-        let way = self.store.find(set, addr.0)?;
-        let (_, meta) = self.store.swap_remove(set, way);
-        Some(decode_state(meta))
+        let way = find_way(&self.sets[set], addr.0)?;
+        Some(decode_state(self.sets[set].swap_remove(way).meta))
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.store.occupancy()
+        self.sets.iter().map(Vec::len).sum()
     }
 
     /// Iterate over all resident lines as `(addr, state)`.
     pub fn lines(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
-        let iter: Box<dyn Iterator<Item = (LineAddr, MesiState)> + '_> = match &self.store {
-            SetStore::PerRun { sets } => Box::new(
-                sets.iter()
-                    .flatten()
-                    .map(|l| (LineAddr(l.addr), decode_state(l.meta))),
-            ),
-            SetStore::Resident {
-                ways,
-                occ,
-                addrs,
-                metas,
-            } => Box::new((0..occ.len()).flat_map(move |set| {
-                let base = set * ways;
-                (0..occ[set] as usize)
-                    .map(move |w| (LineAddr(addrs[base + w]), decode_state(metas[base + w])))
-            })),
-        };
-        iter
+        self.sets
+            .iter()
+            .flatten()
+            .map(|l| (LineAddr(l.addr), decode_state(l.meta)))
     }
 }
 
@@ -740,71 +538,5 @@ mod tests {
         assert_eq!(LineAddr::of(0x1040, 6), LineAddr(0x41));
         assert_eq!(LineAddr::of(0x107F, 6), LineAddr(0x41));
         assert_eq!(LineAddr::of(0x1080, 6), LineAddr(0x42));
-    }
-
-    #[test]
-    fn resident_layout_preallocates_and_reports_itself() {
-        let per_run = tiny();
-        assert!(!per_run.is_resident());
-        let resident = Cache::new_resident(CacheConfig {
-            size_bytes: 64 * 8,
-            line_size: 64,
-            ways: 2,
-            latency: 1,
-        });
-        assert!(resident.is_resident());
-        assert_eq!(resident.occupancy(), 0);
-    }
-
-    /// Drive both layouts through the same randomized operation trace and
-    /// demand bit-identical observable behavior: return values, eviction
-    /// choices, occupancy, and the final resident-line sets.
-    #[test]
-    fn resident_layout_matches_per_run_semantics_exactly() {
-        let cfg = CacheConfig {
-            // 8 sets × 4 ways — small enough to force constant eviction.
-            size_bytes: 64 * 32,
-            line_size: 64,
-            ways: 4,
-            latency: 1,
-        };
-        let mut aos = Cache::new(cfg);
-        let mut soa = Cache::new_resident(cfg);
-        let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for step in 0..50_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // 40 distinct lines over 8 sets keeps sets full and LRU busy.
-            let addr = LineAddr((x >> 16) % 40);
-            let state = states[(x >> 40) as usize % 3];
-            match (x >> 60) % 6 {
-                0 => assert_eq!(aos.touch(addr), soa.touch(addr), "touch @{step}"),
-                1 => assert_eq!(aos.peek(addr), soa.peek(addr), "peek @{step}"),
-                2 => assert_eq!(
-                    aos.replace_state(addr, state),
-                    soa.replace_state(addr, state),
-                    "replace_state @{step}"
-                ),
-                3 => assert_eq!(
-                    aos.touch_or_insert(addr, state),
-                    soa.touch_or_insert(addr, state),
-                    "touch_or_insert @{step}"
-                ),
-                4 => assert_eq!(
-                    aos.insert_if_absent(addr, state),
-                    soa.insert_if_absent(addr, state),
-                    "insert_if_absent @{step}"
-                ),
-                _ => assert_eq!(aos.remove(addr), soa.remove(addr), "remove @{step}"),
-            }
-            assert_eq!(aos.occupancy(), soa.occupancy(), "occupancy @{step}");
-        }
-        let mut left: Vec<_> = aos.lines().collect();
-        let mut right: Vec<_> = soa.lines().collect();
-        left.sort_by_key(|&(a, s)| (a, encode_state(s)));
-        right.sort_by_key(|&(a, s)| (a, encode_state(s)));
-        assert_eq!(left, right, "final resident lines diverge");
     }
 }

@@ -1,29 +1,21 @@
-//! Shard-owned slice of the memory hierarchy for the windowed engine.
+//! What crosses between domains of the windowed engine.
 //!
-//! The serial [`crate::MemoryHierarchy`] mutates remote L2s inline: a read
-//! miss demotes every other holder the instant it happens. That mutable
-//! spine is what forbids running L2 groups on different OS threads. This
-//! module splits it: each **domain** (one L2 group — its L2, its cores'
-//! L1s, its slice of the miss-taxonomy history) is owned by exactly one
-//! shard, and cross-domain coherence rides [`CohMsg`] values delivered at
-//! window barriers through the deterministic delayed queue.
+//! A **domain** is a [`crate::MemoryHierarchy`] owning one L2 group, run
+//! by one shard. Coherence inside a domain applies inline, as in the
+//! serial engine; coherence with other domains rides [`CohMsg`] values
+//! delivered at window barriers through the deterministic delayed queue.
 //!
 //! During a window a domain sees remote residency only through a
 //! [`CoherenceImage`] — the owner directory plus a dirty-holder mask,
 //! frozen at the last barrier. Within one window two domains can therefore
 //! both believe they hold a line exclusively; the image converges again at
-//! the barrier (the *bounded-lag relaxation* — see DESIGN.md §16). What a
-//! domain *charges* (latencies, snoop/invalidation/writeback counters,
-//! miss taxonomy) follows the serial protocol rule-for-rule against the
-//! image, so a windowed run is a pure function of (trace, config, lag) —
-//! independent of shard count and host scheduling.
+//! the barrier (the *bounded-lag relaxation* — see DESIGN.md §16). Since
+//! the protocol charges against the image, a windowed run is a pure
+//! function of (trace, config, lag), independent of shard count and host
+//! scheduling.
 
-use crate::cache::{Cache, LineAddr};
-use crate::config::HierarchyConfig;
-use crate::hierarchy::{AccessKind, AccessOutcome, MemOp, HIST_EVER, HIST_LOST};
+use crate::cache::LineAddr;
 use crate::lineset::LineMap;
-use crate::mesi::MesiState;
-use crate::stats::{CacheStats, MissKind};
 
 /// One cross-domain coherence event, produced while a domain executes a
 /// window and applied at the closing barrier. `g`/`target` are L2-group
@@ -37,7 +29,7 @@ use crate::stats::{CacheStats, MissKind};
 /// image pointing at a copy that was just destroyed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CohMsg {
-    /// Sender `g` installed `line` (`dirty` = installed Modified).
+    /// Sender's group `g` installed `line` (`dirty` = installed Modified).
     Install {
         /// The line installed.
         line: LineAddr,
@@ -46,8 +38,8 @@ pub enum CohMsg {
         /// Whether it was installed in the Modified state.
         dirty: bool,
     },
-    /// Sender `g` changed the dirtiness of its resident copy (E→M / S→M
-    /// upgrades set it; nothing clears it except demotion/eviction).
+    /// Sender's group `g` changed the dirtiness of its resident copy (E→M
+    /// / S→M upgrades set it; demotion clears it).
     DirtyBit {
         /// The line whose dirty bit changed.
         line: LineAddr,
@@ -56,16 +48,18 @@ pub enum CohMsg {
         /// New dirtiness.
         dirty: bool,
     },
-    /// Sender `g` evicted its copy of `line` (capacity victim).
+    /// Sender's group `g` lost its copy of `line` (capacity victim, or
+    /// invalidated inline by another group of the same sender).
     Evict {
         /// The line evicted.
         line: LineAddr,
-        /// Evicting L2 group.
+        /// The L2 group that lost it.
         g: u32,
     },
     /// A read miss saw `target` holding `line` in the image: demote the
     /// copy to Shared (BusRd observed). The writeback for a dirty copy is
-    /// counted by `target` at delivery, where the real state is known.
+    /// counted by `target`'s owner at delivery, where the real state is
+    /// known.
     Demote {
         /// The line being demoted.
         line: LineAddr,
@@ -114,19 +108,9 @@ impl CoherenceImage {
         match *msg {
             CohMsg::Install { line, g, dirty } => {
                 self.holders.set_bit(line.0, g);
-                if dirty {
-                    self.dirty.set_bit(line.0, g);
-                } else {
-                    self.dirty.clear_bit(line.0, g);
-                }
+                self.set_dirty(line, g, dirty);
             }
-            CohMsg::DirtyBit { line, g, dirty } => {
-                if dirty {
-                    self.dirty.set_bit(line.0, g);
-                } else {
-                    self.dirty.clear_bit(line.0, g);
-                }
-            }
+            CohMsg::DirtyBit { line, g, dirty } => self.set_dirty(line, g, dirty),
             CohMsg::Evict { line, g } => {
                 self.holders.clear_bit(line.0, g);
                 self.dirty.clear_bit(line.0, g);
@@ -140,7 +124,7 @@ impl CoherenceImage {
     /// target entirely). Directory deltas are ignored here.
     pub fn apply_remote(&mut self, msg: &CohMsg) {
         match *msg {
-            CohMsg::Demote { line, target } => self.dirty.clear_bit(line.0, target),
+            CohMsg::Demote { line, target } => self.set_dirty(line, target, false),
             CohMsg::Invalidate { line, target } => {
                 self.holders.clear_bit(line.0, target);
                 self.dirty.clear_bit(line.0, target);
@@ -148,429 +132,68 @@ impl CoherenceImage {
             CohMsg::Install { .. } | CohMsg::DirtyBit { .. } | CohMsg::Evict { .. } => {}
         }
     }
+
+    fn set_dirty(&mut self, line: LineAddr, g: u32, dirty: bool) {
+        if dirty {
+            self.dirty.set_bit(line.0, g);
+        } else {
+            self.dirty.clear_bit(line.0, g);
+        }
+    }
 }
 
-/// One L2 group's private slice of the hierarchy, owned by a shard.
-///
-/// Accesses follow [`crate::MemoryHierarchy`]'s charging rules exactly,
-/// except that remote residency comes from the [`CoherenceImage`] and
-/// remote mutations leave as [`CohMsg`]s in the caller's buffer instead of
-/// touching other domains' caches.
-pub struct DomainHierarchy {
-    cfg: HierarchyConfig,
-    g: usize,
-    my_chip: usize,
-    /// Global index of the group's first core (groups are contiguous).
-    base_core: usize,
-    l2: Cache,
-    l1i: Vec<Cache>,
-    l1d: Vec<Cache>,
-    /// Per-line [`HIST_EVER`]/[`HIST_LOST`] flags for this L2's miss
-    /// taxonomy (same bits as the serial hierarchy's per-group history).
-    history: LineMap,
-    stats: CacheStats,
-    l1_sibling_invalidations: u64,
+/// How a [`crate::MemoryHierarchy`] sees and reaches the L2 groups outside its
+/// range. Generic so that the spanning case ([`Inline`]) compiles to the
+/// bare inline protocol: no image probe, no message.
+pub(crate) trait Remote {
+    /// Bitmap of groups the image shows holding `line` (the caller masks
+    /// out its own range).
+    fn holders(&self, line: LineAddr) -> u64;
+    /// Bitmap of groups the image shows holding `line` dirty.
+    fn dirty(&self, line: LineAddr) -> u64;
+    /// Queue a directory delta or remote effect for the next barrier.
+    fn send(&mut self, msg: CohMsg);
 }
 
-impl DomainHierarchy {
-    /// Build the (empty) domain for L2 group `g` of `cfg`.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or the group's cores are not
-    /// a contiguous ascending range (the windowed engine slices per-core
-    /// state by range, so it requires this anyway).
-    pub fn new(cfg: HierarchyConfig, g: usize) -> Self {
-        cfg.validate();
-        let cores = &cfg.groups[g].cores;
-        assert!(!cores.is_empty(), "L2 group {g} has no cores");
-        for (i, &c) in cores.iter().enumerate() {
-            assert_eq!(
-                c,
-                cores[0] + i,
-                "L2 group {g} cores must be contiguous ascending"
-            );
-        }
-        let n = cores.len();
-        DomainHierarchy {
-            g,
-            my_chip: cfg.groups[g].chip,
-            base_core: cores[0],
-            l2: Cache::new(cfg.l2),
-            l1i: (0..n).map(|_| Cache::new(cfg.l1i)).collect(),
-            l1d: (0..n).map(|_| Cache::new(cfg.l1d)).collect(),
-            history: LineMap::new(),
-            stats: CacheStats::default(),
-            l1_sibling_invalidations: 0,
-            cfg,
-        }
+/// Nothing outside the range: the whole machine is owned, or a delivered
+/// remote effect is being applied.
+pub(crate) struct Inline;
+
+impl Remote for Inline {
+    fn holders(&self, _: LineAddr) -> u64 {
+        0
     }
-
-    /// The L2-group index this domain models.
-    pub fn group(&self) -> usize {
-        self.g
+    fn dirty(&self, _: LineAddr) -> u64 {
+        0
     }
+    fn send(&mut self, _: CohMsg) {}
+}
 
-    /// Counters accumulated so far (merged across domains by the engine).
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+/// A window of the windowed engine: the frozen image and the domain's
+/// outbound message buffer.
+pub(crate) struct Windowed<'a> {
+    pub image: &'a CoherenceImage,
+    pub out: &'a mut Vec<CohMsg>,
+}
+
+impl Remote for Windowed<'_> {
+    fn holders(&self, line: LineAddr) -> u64 {
+        self.image.holders(line)
     }
-
-    /// Sibling-L1 invalidations (same-L2; kept out of [`CacheStats`], as
-    /// in the serial hierarchy).
-    pub fn l1_sibling_invalidations(&self) -> u64 {
-        self.l1_sibling_invalidations
+    fn dirty(&self, line: LineAddr) -> u64 {
+        self.image.dirty_mask(line)
     }
-
-    /// MESI state of `line` in this domain's L2 (test/diagnostic hook).
-    pub fn l2_state(&self, line: LineAddr) -> Option<MesiState> {
-        self.l2.peek(line)
-    }
-
-    /// Perform one access by global core `core` (which must belong to this
-    /// group). Cross-domain effects are appended to `out`.
-    pub fn access(
-        &mut self,
-        core: usize,
-        paddr: u64,
-        op: MemOp,
-        kind: AccessKind,
-        image: &CoherenceImage,
-        out: &mut Vec<CohMsg>,
-    ) -> AccessOutcome {
-        let line = LineAddr::of(paddr, self.cfg.l2.line_shift());
-        let local = core - self.base_core;
-        debug_assert!(
-            local < self.l1d.len(),
-            "core {core} not in group {}",
-            self.g
-        );
-        match op {
-            MemOp::Read => self.read(local, line, kind, image, out),
-            MemOp::Write => self.write(local, line, kind, image, out),
-        }
-    }
-
-    /// Deliver a [`CohMsg::Demote`] aimed at this domain: the copy (if
-    /// still resident) goes Shared, and a Modified copy writes back — the
-    /// writeback the serial protocol charges when a dirty supplier is
-    /// snooped, counted here where the true state is known.
-    pub fn deliver_demote(&mut self, line: LineAddr) {
-        if let Some(old) = self.l2.replace_state(line, MesiState::Shared) {
-            if old == MesiState::Modified {
-                self.stats.writebacks += 1;
-            }
-        }
-    }
-
-    /// Deliver a [`CohMsg::Invalidate`] aimed at this domain. A copy that
-    /// already evicted during the window is a stale image hit: nothing to
-    /// destroy, nothing counted.
-    pub fn deliver_invalidate(&mut self, line: LineAddr) {
-        if self.l2.remove(line).is_some() {
-            self.stats.invalidations += 1;
-            self.history.set_bit(line.0, HIST_LOST);
-            self.back_invalidate_l1s(line);
-        }
-    }
-
-    fn l1_mut(&mut self, local: usize, kind: AccessKind) -> &mut Cache {
-        match kind {
-            AccessKind::Data => &mut self.l1d[local],
-            AccessKind::Instr => &mut self.l1i[local],
-        }
-    }
-
-    fn note_l1(&mut self, kind: AccessKind, hit: bool) {
-        match (kind, hit) {
-            (AccessKind::Data, true) => self.stats.l1d_hits += 1,
-            (AccessKind::Data, false) => self.stats.l1d_misses += 1,
-            (AccessKind::Instr, true) => self.stats.l1i_hits += 1,
-            (AccessKind::Instr, false) => self.stats.l1i_misses += 1,
-        }
-    }
-
-    fn read(
-        &mut self,
-        local: usize,
-        line: LineAddr,
-        kind: AccessKind,
-        image: &CoherenceImage,
-        out: &mut Vec<CohMsg>,
-    ) -> AccessOutcome {
-        let l1_latency = self.cfg.l1d.latency;
-        if self.l1_mut(local, kind).touch(line).is_some() {
-            self.note_l1(kind, true);
-            return AccessOutcome {
-                cycles: l1_latency,
-                l1_hit: true,
-                l2_hit: false,
-                snooped: false,
-            };
-        }
-        self.note_l1(kind, false);
-
-        let mut cycles = l1_latency + self.cfg.l2.latency;
-        let mut l2_hit = true;
-        let mut snooped = false;
-
-        if self.l2.touch(line).is_none() {
-            l2_hit = false;
-            self.classify_miss(line);
-            let (extra, was_snooped) = self.service_read_miss(line, image, out);
-            cycles += extra;
-            snooped = was_snooped;
-        } else {
-            self.stats.l2_hits += 1;
-        }
-
-        self.l1_mut(local, kind)
-            .insert_if_absent(line, MesiState::Shared);
-        AccessOutcome {
-            cycles,
-            l1_hit: false,
-            l2_hit,
-            snooped,
-        }
-    }
-
-    fn write(
-        &mut self,
-        local: usize,
-        line: LineAddr,
-        kind: AccessKind,
-        image: &CoherenceImage,
-        out: &mut Vec<CohMsg>,
-    ) -> AccessOutcome {
-        let mut cycles = self.cfg.l1d.latency;
-        let mut l2_hit = true;
-        let mut snooped = false;
-        let others = image.holders(line) & !(1u64 << self.g);
-
-        match self.l2.touch(line) {
-            Some(MesiState::Modified) => {}
-            Some(MesiState::Exclusive) if others == 0 => {
-                // Silent E→M upgrade (nobody else in the image).
-                self.l2.set_state(line, MesiState::Modified);
-                out.push(CohMsg::DirtyBit {
-                    line,
-                    g: self.g as u32,
-                    dirty: true,
-                });
-            }
-            Some(MesiState::Exclusive) | Some(MesiState::Shared) => {
-                // Upgrade: invalidate every image holder. (An E copy with
-                // image holders is the bounded-lag relaxation — another
-                // domain installed the line this window — so it upgrades
-                // like Shared rather than silently.)
-                if others != 0 {
-                    cycles += self.cfg.write_invalidate_penalty;
-                    self.request_invalidate_all(line, others, out);
-                }
-                self.l2.set_state(line, MesiState::Modified);
-                out.push(CohMsg::DirtyBit {
-                    line,
-                    g: self.g as u32,
-                    dirty: true,
-                });
-            }
-            Some(MesiState::Invalid) | None => {
-                // Write miss: read-for-ownership (BusRdX).
-                l2_hit = false;
-                self.classify_miss(line);
-                let (extra, was_snooped) = self.service_write_miss(line, others, image, out);
-                cycles += self.cfg.l2.latency + extra;
-                snooped = was_snooped;
-            }
-        }
-        if l2_hit {
-            self.stats.l2_hits += 1;
-        }
-
-        self.invalidate_sibling_l1s(local, line);
-        let (hit, _) = self
-            .l1_mut(local, kind)
-            .touch_or_insert(line, MesiState::Shared);
-        self.note_l1(kind, hit);
-        AccessOutcome {
-            cycles,
-            l1_hit: false,
-            l2_hit,
-            snooped,
-        }
-    }
-
-    /// Supplier choice against the image, mirroring the serial ascending
-    /// snoop scan: the lowest *dirty* holder must supply (it is the
-    /// Modified copy the scan would have stopped at), otherwise the first
-    /// holder with intra-chip holders preferred over remote chips.
-    fn pick_supplier(&self, holders: u64, dirty: u64) -> Option<usize> {
-        if dirty != 0 {
-            return Some(dirty.trailing_zeros() as usize);
-        }
-        let mut best: Option<usize> = None;
-        let mut rest = holders;
-        while rest != 0 {
-            let other = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    self.cfg.groups[other].chip == self.my_chip
-                        && self.cfg.groups[b].chip != self.my_chip
-                }
-            };
-            if better {
-                best = Some(other);
-            }
-        }
-        best
-    }
-
-    fn service_read_miss(
-        &mut self,
-        line: LineAddr,
-        image: &CoherenceImage,
-        out: &mut Vec<CohMsg>,
-    ) -> (u64, bool) {
-        let holders = image.holders(line) & !(1u64 << self.g);
-        let dirty = image.dirty_mask(line) & holders;
-        let supplier = self.pick_supplier(holders, dirty);
-        // Every image holder observes the BusRd and demotes to Shared at
-        // delivery (the dirty one also writes back — counted over there).
-        let mut rest = holders;
-        while rest != 0 {
-            let other = rest.trailing_zeros();
-            rest &= rest - 1;
-            out.push(CohMsg::Demote {
-                line,
-                target: other,
-            });
-        }
-        let (extra, state, snooped) = match supplier {
-            Some(h) => {
-                self.record_snoop(h);
-                (self.c2c_latency(h), MesiState::Shared, true)
-            }
-            None => (self.memory_fetch(), MesiState::Exclusive, false),
-        };
-        self.install_l2(line, state, out);
-        (extra, snooped)
-    }
-
-    fn service_write_miss(
-        &mut self,
-        line: LineAddr,
-        others: u64,
-        image: &CoherenceImage,
-        out: &mut Vec<CohMsg>,
-    ) -> (u64, bool) {
-        let dirty = image.dirty_mask(line) & others;
-        let supplier = self.pick_supplier(others, dirty);
-        self.request_invalidate_all(line, others, out);
-        let (extra, snooped) = match supplier {
-            Some(h) => {
-                // A dirty copy hands its data over without a memory
-                // writeback (ownership migrates), exactly as in serial.
-                self.record_snoop(h);
-                (self.c2c_latency(h), true)
-            }
-            None => (self.memory_fetch(), false),
-        };
-        let penalty = if others != 0 {
-            self.cfg.write_invalidate_penalty
-        } else {
-            0
-        };
-        self.install_l2(line, MesiState::Modified, out);
-        (extra + penalty, snooped)
-    }
-
-    fn request_invalidate_all(&mut self, line: LineAddr, holders: u64, out: &mut Vec<CohMsg>) {
-        let mut rest = holders;
-        while rest != 0 {
-            let other = rest.trailing_zeros();
-            rest &= rest - 1;
-            out.push(CohMsg::Invalidate {
-                line,
-                target: other,
-            });
-        }
-    }
-
-    fn c2c_latency(&self, other: usize) -> u64 {
-        if self.cfg.groups[other].chip == self.my_chip {
-            self.cfg.c2c_intra_chip
-        } else {
-            self.cfg.c2c_inter_chip
-        }
-    }
-
-    fn record_snoop(&mut self, other: usize) {
-        self.stats.snoop_transactions += 1;
-        if self.cfg.groups[other].chip == self.my_chip {
-            self.stats.snoops_intra_chip += 1;
-        } else {
-            self.stats.snoops_inter_chip += 1;
-        }
-    }
-
-    fn memory_fetch(&mut self) -> u64 {
-        // The windowed engine rejects NUMA configs, so fetches are UMA.
-        self.stats.memory_fetches += 1;
-        self.cfg.mem_latency
-    }
-
-    fn install_l2(&mut self, line: LineAddr, state: MesiState, out: &mut Vec<CohMsg>) {
-        self.history.set_bit(line.0, HIST_EVER);
-        out.push(CohMsg::Install {
-            line,
-            g: self.g as u32,
-            dirty: state == MesiState::Modified,
-        });
-        if let Some(ev) = self.l2.insert(line, state) {
-            out.push(CohMsg::Evict {
-                line: ev.addr,
-                g: self.g as u32,
-            });
-            if ev.state.dirty() {
-                self.stats.writebacks += 1;
-            }
-            self.back_invalidate_l1s(ev.addr);
-        }
-    }
-
-    fn classify_miss(&mut self, line: LineAddr) {
-        let flags = self.history.get(line.0);
-        let kind = if flags & (1 << HIST_LOST) != 0 {
-            self.history.clear_bit(line.0, HIST_LOST);
-            MissKind::Coherence
-        } else if flags & (1 << HIST_EVER) != 0 {
-            MissKind::Capacity
-        } else {
-            MissKind::Cold
-        };
-        self.stats.record_l2_miss(kind);
-    }
-
-    fn back_invalidate_l1s(&mut self, line: LineAddr) {
-        for l1 in self.l1d.iter_mut().chain(self.l1i.iter_mut()) {
-            l1.remove(line);
-        }
-    }
-
-    fn invalidate_sibling_l1s(&mut self, local: usize, line: LineAddr) {
-        for (i, l1) in self.l1d.iter_mut().enumerate() {
-            if i != local && l1.remove(line).is_some() {
-                self.l1_sibling_invalidations += 1;
-            }
-        }
+    fn send(&mut self, msg: CohMsg) {
+        self.out.push(msg);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheConfig, L2Group};
+    use crate::config::{CacheConfig, HierarchyConfig, L2Group};
+    use crate::hierarchy::{AccessKind, MemOp};
+    use crate::mesi::MesiState;
     use crate::MemoryHierarchy;
 
     fn two_group_cfg() -> HierarchyConfig {
@@ -608,24 +231,26 @@ mod tests {
         }
     }
 
-    fn one_group_cfg() -> HierarchyConfig {
-        let mut cfg = two_group_cfg();
-        cfg.groups.truncate(1);
-        cfg
+    fn per_group(cfg: HierarchyConfig) -> Vec<MemoryHierarchy> {
+        (0..cfg.num_l2())
+            .map(|g| MemoryHierarchy::for_groups(cfg.clone(), g..g + 1))
+            .collect()
     }
 
     /// Apply a window's messages to the image and deliver remote effects —
     /// what the engine's barrier does, minus the delayed queue.
-    fn barrier(image: &mut CoherenceImage, domains: &mut [DomainHierarchy], msgs: &[CohMsg]) {
+    fn barrier(image: &mut CoherenceImage, domains: &mut [MemoryHierarchy], msgs: &[CohMsg]) {
         for m in msgs {
             image.apply_directory(m);
         }
         for m in msgs {
             image.apply_remote(m);
             match *m {
-                CohMsg::Demote { line, target } => domains[target as usize].deliver_demote(line),
+                CohMsg::Demote { line, target } => {
+                    domains[target as usize].deliver_demote(target as usize, line)
+                }
                 CohMsg::Invalidate { line, target } => {
-                    domains[target as usize].deliver_invalidate(line)
+                    domains[target as usize].deliver_invalidate(target as usize, line)
                 }
                 _ => {}
             }
@@ -633,56 +258,14 @@ mod tests {
     }
 
     #[test]
-    fn single_group_domain_matches_serial_hierarchy() {
-        // With one L2 group there is no cross-domain traffic, so the
-        // domain must charge exactly what the serial hierarchy charges.
-        let cfg = one_group_cfg();
-        let mut serial = MemoryHierarchy::new(cfg.clone());
-        let mut dom = DomainHierarchy::new(cfg, 0);
-        let image = CoherenceImage::new();
-        let mut msgs = Vec::new();
-        let pattern: &[(usize, u64, MemOp, AccessKind)] = &[
-            (0, 0x1000, MemOp::Read, AccessKind::Data),
-            (1, 0x1000, MemOp::Write, AccessKind::Data),
-            (0, 0x1000, MemOp::Read, AccessKind::Data),
-            (0, 0x2000, MemOp::Write, AccessKind::Data),
-            (1, 0x2040, MemOp::Read, AccessKind::Instr),
-            // Overflow one L2 set (4 ways, 8 sets): force an eviction.
-            (0, 0x0000, MemOp::Read, AccessKind::Data),
-            (0, 0x2000, MemOp::Read, AccessKind::Data),
-            (0, 0x4000, MemOp::Read, AccessKind::Data),
-            (0, 0x6000, MemOp::Read, AccessKind::Data),
-            (0, 0x8000, MemOp::Read, AccessKind::Data),
-            (0, 0x0000, MemOp::Write, AccessKind::Data),
-        ];
-        for &(core, addr, op, kind) in pattern {
-            let a = serial.access(core, addr, op, kind);
-            let b = dom.access(core, addr, op, kind, &image, &mut msgs);
-            assert_eq!(a, b, "outcome diverged at core {core} addr {addr:#x}");
-        }
-        assert_eq!(serial.stats(), dom.stats());
-        assert_eq!(
-            serial.l1_sibling_invalidations(),
-            dom.l1_sibling_invalidations()
-        );
-        // Only directory deltas can appear — nobody to demote/invalidate.
-        assert!(msgs
-            .iter()
-            .all(|m| !matches!(m, CohMsg::Demote { .. } | CohMsg::Invalidate { .. })));
-    }
-
-    #[test]
     fn read_of_remote_dirty_line_snoops_demotes_and_writes_back() {
         let cfg = two_group_cfg();
-        let mut domains = vec![
-            DomainHierarchy::new(cfg.clone(), 0),
-            DomainHierarchy::new(cfg, 1),
-        ];
+        let mut domains = per_group(cfg);
         let mut image = CoherenceImage::new();
         let mut msgs = Vec::new();
 
         // Window 1: core 0 writes — domain 0 installs Modified.
-        domains[0].access(0, 0x1000, MemOp::Write, AccessKind::Data, &image, &mut msgs);
+        domains[0].access_windowed(0, 0x1000, MemOp::Write, AccessKind::Data, &image, &mut msgs);
         let w1 = std::mem::take(&mut msgs);
         barrier(&mut image, &mut domains, &w1);
         let line = LineAddr::of(0x1000, 6);
@@ -690,7 +273,8 @@ mod tests {
         assert_eq!(image.dirty_mask(line), 0b01);
 
         // Window 2: core 2 reads — snooped inter-chip, demote requested.
-        let out = domains[1].access(2, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
+        let out =
+            domains[1].access_windowed(2, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
         assert!(out.snooped && !out.l2_hit);
         assert_eq!(out.cycles, 2 + 8 + 120);
         assert_eq!(domains[1].stats().snoops_inter_chip, 1);
@@ -699,7 +283,7 @@ mod tests {
         barrier(&mut image, &mut domains, &w2);
 
         // The demote landed: domain 0's copy is Shared and wrote back.
-        assert_eq!(domains[0].l2_state(line), Some(MesiState::Shared));
+        assert_eq!(domains[0].l2_state(0, line), Some(MesiState::Shared));
         assert_eq!(domains[0].stats().writebacks, 1);
         assert_eq!(image.holders(line), 0b11);
         assert_eq!(image.dirty_mask(line), 0);
@@ -708,21 +292,25 @@ mod tests {
     #[test]
     fn write_invalidates_image_holders_and_reclassifies_their_miss() {
         let cfg = two_group_cfg();
-        let mut domains = vec![
-            DomainHierarchy::new(cfg.clone(), 0),
-            DomainHierarchy::new(cfg, 1),
-        ];
+        let mut domains = per_group(cfg);
         let mut image = CoherenceImage::new();
         let mut msgs = Vec::new();
         let line = LineAddr::of(0x1000, 6);
 
         // Window 1: domain 0 reads (installs Exclusive).
-        domains[0].access(0, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
+        domains[0].access_windowed(0, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
         let w1 = std::mem::take(&mut msgs);
         barrier(&mut image, &mut domains, &w1);
 
         // Window 2: core 2 write-misses — image holder supplies and dies.
-        let out = domains[1].access(2, 0x1000, MemOp::Write, AccessKind::Data, &image, &mut msgs);
+        let out = domains[1].access_windowed(
+            2,
+            0x1000,
+            MemOp::Write,
+            AccessKind::Data,
+            &image,
+            &mut msgs,
+        );
         assert!(out.snooped);
         // l1 + l2 + inter-chip c2c + invalidate penalty.
         assert_eq!(out.cycles, 2 + 8 + 120 + 20);
@@ -731,24 +319,24 @@ mod tests {
         barrier(&mut image, &mut domains, &w2);
 
         assert_eq!(domains[0].stats().invalidations, 1);
-        assert_eq!(domains[0].l2_state(line), None);
+        assert_eq!(domains[0].l2_state(0, line), None);
         assert_eq!(image.holders(line), 0b10);
         assert_eq!(image.dirty_mask(line), 0b10);
 
         // Domain 0's re-read is a coherence miss (HIST_LOST set).
-        domains[0].access(0, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
+        domains[0].access_windowed(0, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
         assert_eq!(domains[0].stats().l2_coherence_misses, 1);
     }
 
     #[test]
     fn stale_image_holder_is_a_harmless_no_op() {
         let cfg = two_group_cfg();
-        let mut d0 = DomainHierarchy::new(cfg, 0);
+        let mut d0 = MemoryHierarchy::for_groups(cfg, 0..1);
         // The image claimed d0 held a line it has since evicted: delivery
         // finds nothing and counts nothing.
         let line = LineAddr::of(0x9000, 6);
-        d0.deliver_invalidate(line);
-        d0.deliver_demote(line);
+        d0.deliver_invalidate(0, line);
+        d0.deliver_demote(0, line);
         assert_eq!(d0.stats().invalidations, 0);
         assert_eq!(d0.stats().writebacks, 0);
     }
@@ -758,24 +346,28 @@ mod tests {
         // Bounded-lag relaxation: both domains installed the line E in the
         // same window. The later writer must not upgrade silently.
         let cfg = two_group_cfg();
-        let mut domains = vec![
-            DomainHierarchy::new(cfg.clone(), 0),
-            DomainHierarchy::new(cfg, 1),
-        ];
+        let mut domains = per_group(cfg);
         let mut image = CoherenceImage::new();
         let mut msgs = Vec::new();
         let line = LineAddr::of(0x1000, 6);
 
         // Same window: both read-miss to Exclusive against the cold image.
-        domains[0].access(0, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
-        domains[1].access(2, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
+        domains[0].access_windowed(0, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
+        domains[1].access_windowed(2, 0x1000, MemOp::Read, AccessKind::Data, &image, &mut msgs);
         let w1 = std::mem::take(&mut msgs);
         barrier(&mut image, &mut domains, &w1);
         assert_eq!(image.holders(line), 0b11);
 
         // Next window: domain 0 writes its Exclusive copy — the image says
         // domain 1 also holds it, so the upgrade pays and invalidates.
-        let out = domains[0].access(0, 0x1000, MemOp::Write, AccessKind::Data, &image, &mut msgs);
+        let out = domains[0].access_windowed(
+            0,
+            0x1000,
+            MemOp::Write,
+            AccessKind::Data,
+            &image,
+            &mut msgs,
+        );
         assert_eq!(out.cycles, 2 + 20);
         let w2 = std::mem::take(&mut msgs);
         assert!(w2.contains(&CohMsg::Invalidate { line, target: 1 }));

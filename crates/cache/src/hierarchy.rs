@@ -12,22 +12,25 @@
 //!   its cache and has to retrieve the data from another cache", §VI-B).
 //! * **L2 misses** are classified cold / capacity / coherence so that the
 //!   invalidation-miss reduction of Section III-A is directly observable.
+//!
+//! Coherence among the groups a hierarchy owns applies inline; effects on
+//! groups outside its range leave as [`CohMsg`]s, and their owner applies
+//! them through the same `demote`/`invalidate` helpers (DESIGN.md §11).
 
 use crate::cache::{Cache, LineAddr};
-use crate::config::{CacheConfig, HierarchyConfig};
+use crate::config::HierarchyConfig;
+use crate::domain::{CohMsg, CoherenceImage, Inline, Remote, Windowed};
 use crate::lineset::LineMap;
 use crate::mesi::MesiState;
 use crate::stats::{CacheStats, MissKind};
-use std::collections::HashSet;
+use std::ops::Range;
 
 /// [`MemoryHierarchy::history`] flag bit: the line was resident in this L2
-/// at some point (distinguishes capacity from cold misses). Shared with
-/// the per-domain hierarchy ([`crate::domain`]), which keeps the same
-/// per-L2 miss taxonomy.
-pub(crate) const HIST_EVER: u32 = 0;
+/// at some point (distinguishes capacity from cold misses).
+const HIST_EVER: u32 = 0;
 /// [`MemoryHierarchy::history`] flag bit: the line's copy in this L2 was
 /// destroyed by a coherence invalidation and has not re-missed yet.
-pub(crate) const HIST_LOST: u32 = 1;
+const HIST_LOST: u32 = 1;
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,13 +64,22 @@ pub struct AccessOutcome {
     pub snooped: bool,
 }
 
-/// The coherent hierarchy for one machine.
+/// The coherent hierarchy for a contiguous range of L2 groups (by default
+/// the whole machine). Group and core arguments are global ids; owned
+/// state is indexed by `g - lo` and `core - base_core`.
 pub struct MemoryHierarchy {
     cfg: HierarchyConfig,
+    /// First owned L2 group; the range is `lo..lo + l2.len()`.
+    lo: usize,
+    /// Holder bitmap of the groups *outside* the owned range (zero for a
+    /// spanning hierarchy).
+    outside: u64,
+    /// Global id of the first owned core (owned cores are contiguous).
+    base_core: usize,
     l1i: Vec<Cache>,
     l1d: Vec<Cache>,
     l2: Vec<Cache>,
-    /// `core_to_l2[core]` = index into `l2` / `cfg.groups`.
+    /// `core_to_l2[core - base_core]` = the core's global L2-group id.
     core_to_l2: Vec<usize>,
     stats: CacheStats,
     /// Sibling-L1 copies invalidated under the same L2 (not an interconnect
@@ -78,70 +90,65 @@ pub struct MemoryHierarchy {
     /// (lost to coherence invalidation) flag bits — one probe classifies a
     /// miss where two separate sets took two.
     history: Vec<LineMap>,
-    /// Sparse owner directory: line → bitmap of L2s currently holding it.
-    /// Maintained by the only two places L2 residency changes
-    /// ([`Self::install_l2`] and [`Self::invalidate_remote_copies`]), so
-    /// holder search, sharer invalidation and MESI audits iterate the
-    /// popcount of actual sharers instead of scanning every L2. The
-    /// directory changes *where* the protocol looks, never *what* it
-    /// charges: all modeled latencies and counters are identical to the
-    /// full-snoop scan it replaced.
+    /// Sparse owner directory: line → bitmap of owned L2s holding it, kept
+    /// by the only places L2 residency changes ([`Self::install_l2`] and
+    /// [`Self::invalidate`]), and left empty when one L2 is owned: it has
+    /// no other owned holder to find (DESIGN.md §11).
     directory: LineMap,
 }
 
 impl MemoryHierarchy {
-    /// Build an empty hierarchy with per-run (lazily grown) set storage —
-    /// the right layout for a hierarchy built fresh for one simulated run.
+    /// Build an empty hierarchy spanning every L2 group of `cfg`.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid or has more than 64 L2
+    /// groups.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::with_cache_ctor(cfg, Cache::new)
+        let n_l2 = cfg.num_l2();
+        Self::for_groups(cfg, 0..n_l2)
     }
 
-    /// Build an empty hierarchy with resident (preallocated SoA) set
-    /// storage — the right layout for a hierarchy that lives for a whole
-    /// process and is probed millions of times, e.g. the serve path's
-    /// shared state. Semantics are identical to [`MemoryHierarchy::new`];
-    /// only the memory layout of the set storage differs (see
-    /// [`Cache::new_resident`]).
+    /// Build an empty hierarchy owning L2 groups `groups` of `cfg`, which
+    /// reaches the rest through [`MemoryHierarchy::access_windowed`].
     ///
     /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn new_resident(cfg: HierarchyConfig) -> Self {
-        Self::with_cache_ctor(cfg, Cache::new_resident)
-    }
-
-    fn with_cache_ctor(cfg: HierarchyConfig, ctor: fn(CacheConfig) -> Cache) -> Self {
+    /// Panics if the configuration is invalid, has more than 64 L2 groups,
+    /// if `groups` is empty or out of range, or if the owned groups' cores
+    /// are not one contiguous range of core ids.
+    pub fn for_groups(cfg: HierarchyConfig, groups: Range<usize>) -> Self {
         cfg.validate();
-        let n_cores = cfg.num_cores();
         let n_l2 = cfg.num_l2();
         assert!(
             n_l2 <= 64,
             "owner directory packs holders into a u64 bitmap; got {n_l2} L2 groups"
         );
+        let owned = &cfg.groups[groups.clone()];
+        let base_core = owned.iter().flat_map(|grp| &grp.cores).copied().min();
+        let base_core = base_core.expect("empty group range");
+        let n_cores: usize = owned.iter().map(|grp| grp.cores.len()).sum();
         let mut core_to_l2 = vec![usize::MAX; n_cores];
-        for (g, group) in cfg.groups.iter().enumerate() {
+        for (g, group) in groups.clone().zip(owned) {
             for &c in &group.cores {
-                core_to_l2[c] = g;
+                let slot = core_to_l2.get_mut(c - base_core);
+                *slot.expect("owned groups' cores must be contiguous") = g;
             }
         }
+        let ones = |n: usize| u64::MAX.checked_shr(64 - n as u32).unwrap_or(0);
+        let outside = ones(n_l2) & !(ones(groups.len()) << groups.start);
         MemoryHierarchy {
-            l1i: (0..n_cores).map(|_| ctor(cfg.l1i)).collect(),
-            l1d: (0..n_cores).map(|_| ctor(cfg.l1d)).collect(),
-            l2: (0..n_l2).map(|_| ctor(cfg.l2)).collect(),
+            lo: groups.start,
+            outside,
+            base_core,
+            l1i: (0..n_cores).map(|_| Cache::new(cfg.l1i)).collect(),
+            l1d: (0..n_cores).map(|_| Cache::new(cfg.l1d)).collect(),
+            l2: groups.clone().map(|_| Cache::new(cfg.l2)).collect(),
             core_to_l2,
             stats: CacheStats::default(),
             l1_sibling_invalidations: 0,
-            history: vec![LineMap::new(); n_l2],
+            history: vec![LineMap::new(); groups.len()],
             directory: LineMap::new(),
             cfg,
         }
-    }
-
-    /// The hierarchy's configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.cfg
     }
 
     /// Counters accumulated so far.
@@ -154,14 +161,9 @@ impl MemoryHierarchy {
         self.l1_sibling_invalidations
     }
 
-    /// Which L2 a core sits behind.
-    pub fn l2_of(&self, core: usize) -> usize {
-        self.core_to_l2[core]
-    }
-
-    /// MESI state of `line` in L2 `g` (test/diagnostic hook).
+    /// MESI state of `line` in owned L2 group `g` (test/diagnostic hook).
     pub fn l2_state(&self, g: usize, line: LineAddr) -> Option<MesiState> {
-        self.l2[g].peek(line)
+        self.l2[g - self.lo].peek(line)
     }
 
     /// Perform one memory access by `core` to physical address `paddr`
@@ -180,6 +182,7 @@ impl MemoryHierarchy {
     /// Perform one memory access with an optional NUMA home chip for the
     /// touched page: memory fetches from a different chip's node pay
     /// `numa_remote_penalty` extra cycles and are counted separately.
+    /// Every holder must be owned, so this is for spanning hierarchies.
     #[inline]
     pub fn access_numa(
         &mut self,
@@ -189,10 +192,50 @@ impl MemoryHierarchy {
         kind: AccessKind,
         home_chip: Option<usize>,
     ) -> AccessOutcome {
+        debug_assert_eq!(self.outside, 0, "a partial hierarchy needs access_windowed");
+        self.access_via(core, paddr, op, kind, home_chip, &mut Inline)
+    }
+
+    /// Perform one UMA access by owned core `core`, seeing groups outside
+    /// the range as `image` shows them and appending this hierarchy's
+    /// directory deltas and its effects on those groups to `out`.
+    pub fn access_windowed(
+        &mut self,
+        core: usize,
+        paddr: u64,
+        op: MemOp,
+        kind: AccessKind,
+        image: &CoherenceImage,
+        out: &mut Vec<CohMsg>,
+    ) -> AccessOutcome {
+        self.access_via(core, paddr, op, kind, None, &mut Windowed { image, out })
+    }
+
+    /// Apply a [`CohMsg::Demote`] aimed at owned group `g`.
+    pub fn deliver_demote(&mut self, g: usize, line: LineAddr) {
+        self.demote(g, line, &mut Inline);
+    }
+
+    /// Apply a [`CohMsg::Invalidate`] aimed at owned group `g`, if it still holds the line.
+    pub fn deliver_invalidate(&mut self, g: usize, line: LineAddr) {
+        self.invalidate(g, line, &mut Inline);
+    }
+
+    #[inline(always)]
+    fn access_via<R: Remote>(
+        &mut self,
+        core: usize,
+        paddr: u64,
+        op: MemOp,
+        kind: AccessKind,
+        home_chip: Option<usize>,
+        r: &mut R,
+    ) -> AccessOutcome {
         let line = LineAddr::of(paddr, self.cfg.l2.line_shift());
+        let local = core - self.base_core;
         match op {
-            MemOp::Read => self.read(core, line, kind, home_chip),
-            MemOp::Write => self.write(core, line, kind, home_chip),
+            MemOp::Read => self.read(local, line, kind, home_chip, r),
+            MemOp::Write => self.write(local, line, kind, home_chip, r),
         }
     }
 
@@ -213,10 +256,10 @@ impl MemoryHierarchy {
         }
     }
 
-    fn l1_mut(&mut self, core: usize, kind: AccessKind) -> &mut Cache {
+    fn l1_mut(&mut self, local: usize, kind: AccessKind) -> &mut Cache {
         match kind {
-            AccessKind::Data => &mut self.l1d[core],
-            AccessKind::Instr => &mut self.l1i[core],
+            AccessKind::Data => &mut self.l1d[local],
+            AccessKind::Instr => &mut self.l1i[local],
         }
     }
 
@@ -229,15 +272,16 @@ impl MemoryHierarchy {
         }
     }
 
-    fn read(
+    fn read<R: Remote>(
         &mut self,
-        core: usize,
+        local: usize,
         line: LineAddr,
         kind: AccessKind,
         home_chip: Option<usize>,
+        r: &mut R,
     ) -> AccessOutcome {
         let l1_latency = self.cfg.l1d.latency;
-        if self.l1_mut(core, kind).touch(line).is_some() {
+        if self.l1_mut(local, kind).touch(line).is_some() {
             self.note_l1(kind, true);
             return AccessOutcome {
                 cycles: l1_latency,
@@ -248,79 +292,76 @@ impl MemoryHierarchy {
         }
         self.note_l1(kind, false);
 
-        let g = self.core_to_l2[core];
-        let mut cycles = l1_latency + self.cfg.l2.latency;
-        let mut l2_hit = true;
-        let mut snooped = false;
-
-        if self.l2[g].touch(line).is_none() {
-            // L2 read miss: classify, snoop, fetch, install.
-            l2_hit = false;
-            self.classify_miss(g, line);
-            let (extra, was_snooped) = self.service_read_miss(g, line, home_chip);
-            cycles += extra;
-            snooped = was_snooped;
-        } else {
+        let g = self.core_to_l2[local];
+        let l2_hit = self.l2[g - self.lo].touch(line).is_some();
+        let (extra, snooped) = if l2_hit {
             self.stats.l2_hits += 1;
-        }
-
-        self.fill_l1(core, kind, line);
+            (0, false)
+        } else {
+            // L2 read miss: classify, snoop, fetch, install.
+            self.classify_miss(g, line);
+            self.service_read_miss(g, line, home_chip, r)
+        };
+        self.l1_mut(local, kind)
+            .insert_if_absent(line, MesiState::Shared);
         AccessOutcome {
-            cycles,
+            cycles: l1_latency + self.cfg.l2.latency + extra,
             l1_hit: false,
             l2_hit,
             snooped,
         }
     }
 
-    fn write(
+    fn write<R: Remote>(
         &mut self,
-        core: usize,
+        local: usize,
         line: LineAddr,
         kind: AccessKind,
         home_chip: Option<usize>,
+        r: &mut R,
     ) -> AccessOutcome {
-        let g = self.core_to_l2[core];
+        let g = self.core_to_l2[local];
         let mut cycles = self.cfg.l1d.latency;
-        let mut l2_hit = true;
         let mut snooped = false;
-
-        match self.l2[g].touch(line) {
-            Some(MesiState::Modified) => {}
-            Some(MesiState::Exclusive) => {
-                // Silent E→M upgrade.
-                self.l2[g].set_state(line, MesiState::Modified);
-            }
-            Some(MesiState::Shared) => {
-                // Upgrade: invalidate every remote copy.
-                let invalidated = self.invalidate_remote_copies(g, line);
-                if invalidated > 0 {
+        let remote = r.holders(line) & self.outside;
+        let l2_hit = match self.l2[g - self.lo].touch(line) {
+            Some(MesiState::Modified) => true,
+            Some(MesiState::Exclusive) | Some(MesiState::Shared) => {
+                // Upgrade: invalidate every other holder; silent iff there
+                // is none (an Exclusive copy can have one only through a
+                // stale image — the bounded-lag relaxation).
+                let (holders, _) = self.invalidate_others(g, line, remote, r);
+                if holders != 0 {
                     cycles += self.cfg.write_invalidate_penalty;
                 }
-                self.l2[g].set_state(line, MesiState::Modified);
+                self.l2[g - self.lo].set_state(line, MesiState::Modified);
+                r.send(CohMsg::DirtyBit {
+                    line,
+                    g: g as u32,
+                    dirty: true,
+                });
+                true
             }
             Some(MesiState::Invalid) | None => {
                 // Write miss: read-for-ownership (BusRdX).
-                l2_hit = false;
                 self.classify_miss(g, line);
-                let (extra, was_snooped) = self.service_write_miss(g, line, home_chip);
+                let (extra, was_snooped) = self.service_write_miss(g, line, remote, home_chip, r);
                 cycles += self.cfg.l2.latency + extra;
                 snooped = was_snooped;
+                false
             }
-        }
-        if !l2_hit {
-            // nothing extra: miss path already accounted
-        } else {
+        };
+        if l2_hit {
             self.stats.l2_hits += 1;
         }
 
         // Keep sibling L1 copies (cores under the same L2) coherent: they
         // would otherwise read a stale line through their write-through L1.
-        self.invalidate_sibling_l1s(core, g, line);
+        self.invalidate_sibling_l1s(local, g, line);
 
         // Write-allocate into the local L1 (write-through to L2 is implied).
         let (hit, _) = self
-            .l1_mut(core, kind)
+            .l1_mut(local, kind)
             .touch_or_insert(line, MesiState::Shared);
         self.note_l1(kind, hit);
         AccessOutcome {
@@ -331,210 +372,165 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Snoop all remote L2s for `line` on a read miss; transfer cache-to-
-    /// cache if anyone has it, otherwise fetch from memory. Installs the
-    /// line in `g` and handles the eviction. Returns `(extra_cycles,
-    /// snooped)`.
-    fn service_read_miss(
+    /// Read miss (`BusRd`) in group `g`: every other holder demotes to
+    /// Shared — owned ones now, the rest at delivery — and the supplier,
+    /// if any, transfers cache-to-cache; otherwise memory supplies and the
+    /// line installs Exclusive. Returns `(extra_cycles, snooped)`.
+    fn service_read_miss<R: Remote>(
         &mut self,
         g: usize,
         line: LineAddr,
         home_chip: Option<usize>,
+        r: &mut R,
     ) -> (u64, bool) {
         #[cfg(debug_assertions)]
         let expected = self.find_holder_scan(g, line);
-        // One pass over the owner directory's holder mask: every holder is
-        // demoted to Shared (BusRd seen) while its old state picks the
-        // supplier by the same rule, in the same ascending order, as the
-        // snoop scan this replaces — first Modified (it must supply and
-        // write back), else the first holder, preferring intra-chip.
-        let my_chip = self.cfg.groups[g].chip;
-        let mut holders = self.directory.get(line.0) & !(1u64 << g);
-        let mut supplier: Option<usize> = None;
-        let mut supplier_modified = false;
-        while holders != 0 {
-            let other = holders.trailing_zeros() as usize;
-            holders &= holders - 1;
-            let old = self.l2[other].replace_state(line, MesiState::Shared);
-            debug_assert!(old.is_some(), "directory bit set for non-resident line");
-            let Some(old) = old else { continue };
-            if supplier_modified {
-                continue;
-            }
-            if old == MesiState::Modified {
-                supplier = Some(other);
-                supplier_modified = true;
-            } else {
-                let better = match supplier {
-                    None => true,
-                    Some(b) => {
-                        self.cfg.groups[other].chip == my_chip && self.cfg.groups[b].chip != my_chip
-                    }
-                };
-                if better {
-                    supplier = Some(other);
-                }
+        let remote = r.holders(line) & self.outside;
+        let mut dirty = r.dirty(line) & remote;
+        let owned = self.directory.get(line.0) & !(1u64 << g);
+        for other in bits(owned) {
+            if self.demote(other, line, r) == Some(MesiState::Modified) {
+                dirty |= 1 << other;
             }
         }
+        for target in bits(remote) {
+            let target = target as u32;
+            r.send(CohMsg::Demote { line, target });
+        }
+        let holders = owned | remote;
+        let supplier = self.pick_supplier(g, holders, dirty);
         #[cfg(debug_assertions)]
-        debug_assert_eq!(supplier, expected);
+        debug_assert!(remote != 0 || supplier == expected);
         let (extra, state, snooped) = match supplier {
-            Some(h) => {
-                if supplier_modified {
-                    // Dirty supplier writes back and both end Shared.
-                    self.stats.writebacks += 1;
-                }
-                self.record_snoop(g, h);
-                (self.c2c_latency(g, h), MesiState::Shared, true)
-            }
-            None => {
-                let latency = self.memory_fetch(g, home_chip);
-                (latency, MesiState::Exclusive, false)
-            }
+            Some(h) => (self.snoop(g, h), MesiState::Shared, true),
+            None => (self.memory_fetch(g, home_chip), MesiState::Exclusive, false),
         };
-        self.install_l2(g, line, state);
+        self.install_l2(g, line, state, r);
         (extra, snooped)
     }
 
-    /// Snoop on a write miss (`BusRdX`): any remote copy supplies the data
-    /// (dirty ownership migrates without a memory writeback) and every
-    /// remote copy is invalidated. Returns `(extra_cycles, snooped)`.
-    fn service_write_miss(
+    /// Write miss (`BusRdX`) in group `g`: every other copy is destroyed,
+    /// and any holder supplies the data (dirty ownership migrates without
+    /// a memory writeback). Returns `(extra_cycles, snooped)`.
+    fn service_write_miss<R: Remote>(
         &mut self,
         g: usize,
         line: LineAddr,
+        remote: u64,
         home_chip: Option<usize>,
+        r: &mut R,
     ) -> (u64, bool) {
         #[cfg(debug_assertions)]
         let expected = self.find_holder_scan(g, line);
-        // One pass over the owner directory's holder mask: every remote copy
-        // is destroyed (`BusRdX`), and the state each `remove` returns picks
-        // the data supplier by the same rule, in the same ascending order,
-        // as the snoop scan this replaces. A remote Modified copy hands its
-        // data to the requester without a memory writeback.
-        let my_chip = self.cfg.groups[g].chip;
-        let mut remote = self.directory.get(line.0) & !(1u64 << g);
-        let mut supplier: Option<usize> = None;
-        let mut supplier_modified = false;
-        let mut invalidated = 0u64;
-        while remote != 0 {
-            let other = remote.trailing_zeros() as usize;
-            remote &= remote - 1;
-            let state = self.l2[other].remove(line);
-            debug_assert!(state.is_some(), "directory bit set for non-resident line");
-            let Some(state) = state else { continue };
-            if !supplier_modified {
-                if state == MesiState::Modified {
-                    supplier = Some(other);
-                    supplier_modified = true;
-                } else {
-                    let better = match supplier {
-                        None => true,
-                        Some(b) => {
-                            self.cfg.groups[other].chip == my_chip
-                                && self.cfg.groups[b].chip != my_chip
-                        }
-                    };
-                    if better {
-                        supplier = Some(other);
-                    }
-                }
-            }
-            invalidated += 1;
-            self.stats.invalidations += 1;
-            self.history[other].set_bit(line.0, HIST_LOST);
-            self.directory.clear_bit(line.0, other as u32);
-            self.back_invalidate_l1s(other, line);
-        }
+        let (holders, owned_dirty) = self.invalidate_others(g, line, remote, r);
+        let dirty = owned_dirty | (r.dirty(line) & remote);
+        let supplier = self.pick_supplier(g, holders, dirty);
         #[cfg(debug_assertions)]
-        debug_assert_eq!(supplier, expected);
-        let (extra, snooped) = match supplier {
-            Some(h) => {
-                self.record_snoop(g, h);
-                (self.c2c_latency(g, h), true)
-            }
+        debug_assert!(remote != 0 || supplier == expected);
+        let (mut extra, snooped) = match supplier {
+            Some(h) => (self.snoop(g, h), true),
             None => (self.memory_fetch(g, home_chip), false),
         };
-        let penalty = if invalidated > 0 {
-            self.cfg.write_invalidate_penalty
-        } else {
-            0
-        };
-        self.install_l2(g, line, MesiState::Modified);
-        (extra + penalty, snooped)
+        if holders != 0 {
+            extra += self.cfg.write_invalidate_penalty;
+        }
+        self.install_l2(g, line, MesiState::Modified, r);
+        (extra, snooped)
     }
 
-    /// First remote L2 holding `line`, preferring the Modified holder (it
-    /// must supply the data), then an intra-chip holder (cheapest transfer).
-    ///
-    /// Walks the owner directory's holder bitmap in ascending L2 order —
-    /// the same visit order as the full-snoop scan it replaced, so the
-    /// chosen supplier (and thus every latency and snoop counter downstream)
-    /// is identical; only O(popcount) L2s are probed instead of all of them.
-    fn find_holder(&self, g: usize, line: LineAddr) -> Option<usize> {
-        let my_chip = self.cfg.groups[g].chip;
-        let mut best: Option<usize> = None;
-        let mut holders = self.directory.get(line.0) & !(1u64 << g);
-        while holders != 0 {
-            let other = holders.trailing_zeros() as usize;
-            holders &= holders - 1;
-            match self.l2[other].peek(line) {
-                Some(MesiState::Modified) => return Some(other),
-                Some(_) => {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            self.cfg.groups[other].chip == my_chip
-                                && self.cfg.groups[b].chip != my_chip
-                        }
-                    };
-                    if better {
-                        best = Some(other);
-                    }
-                }
-                None => debug_assert!(false, "directory bit set for non-resident line"),
+    /// `BusRdX` from group `g`: destroy every other copy of `line` — owned
+    /// ones now, the `remote` ones at delivery. Returns the holder bitmap
+    /// and the owned holders that were Modified.
+    fn invalidate_others<R: Remote>(
+        &mut self,
+        g: usize,
+        line: LineAddr,
+        remote: u64,
+        r: &mut R,
+    ) -> (u64, u64) {
+        let owned = self.directory.get(line.0) & !(1u64 << g);
+        let mut dirty = 0u64;
+        for other in bits(owned) {
+            let state = self.invalidate(other, line, r);
+            debug_assert!(state.is_some(), "directory bit set for non-resident line");
+            if state == Some(MesiState::Modified) {
+                dirty |= 1 << other;
             }
         }
-        debug_assert_eq!(best, self.find_holder_scan(g, line));
-        best
+        for target in bits(remote) {
+            let target = target as u32;
+            r.send(CohMsg::Invalidate { line, target });
+        }
+        (owned | remote, dirty)
     }
 
-    /// The pre-directory holder search: peek every other L2 in ascending
-    /// order. Kept as the oracle the directory-backed [`Self::find_holder`]
-    /// is property-tested (and debug-asserted) against.
+    /// Demote owned group `g`'s copy of `line` to Shared (`BusRd`
+    /// observed); a Modified copy writes back. Returns the old state.
+    fn demote<R: Remote>(&mut self, g: usize, line: LineAddr, r: &mut R) -> Option<MesiState> {
+        let old = self.l2[g - self.lo].replace_state(line, MesiState::Shared);
+        if old == Some(MesiState::Modified) {
+            self.stats.writebacks += 1;
+            r.send(CohMsg::DirtyBit {
+                line,
+                g: g as u32,
+                dirty: false,
+            });
+        }
+        old
+    }
+
+    /// Destroy owned group `g`'s copy of `line` (`BusRdX` observed) and
+    /// the L1 copies behind it, marking its next miss a coherence miss.
+    /// Returns the state the copy was in, `None` if it was not resident.
+    fn invalidate<R: Remote>(&mut self, g: usize, line: LineAddr, r: &mut R) -> Option<MesiState> {
+        let state = self.l2[g - self.lo].remove(line)?;
+        self.stats.invalidations += 1;
+        self.history[g - self.lo].set_bit(line.0, HIST_LOST);
+        self.directory.clear_bit(line.0, g as u32);
+        self.back_invalidate_l1s(g, line);
+        r.send(CohMsg::Evict { line, g: g as u32 });
+        Some(state)
+    }
+
+    /// The supplier among `holders` for a miss in group `g`, by the snoop
+    /// scan's rule in ascending group order: the first `dirty` holder must
+    /// supply (and the scan stops there), otherwise the first holder,
+    /// preferring one on `g`'s chip (cheapest transfer).
+    fn pick_supplier(&self, g: usize, holders: u64, dirty: u64) -> Option<usize> {
+        if dirty != 0 {
+            return Some(dirty.trailing_zeros() as usize);
+        }
+        bits(holders).fold(None, |best, other| {
+            self.closer(g, other, best).then_some(other).or(best)
+        })
+    }
+
+    /// The pre-directory holder search: peek every other owned L2 in
+    /// ascending order. Kept as the oracle the directory-backed supplier
+    /// choice is property-tested (and debug-asserted) against.
     #[doc(hidden)]
     pub fn find_holder_scan(&self, g: usize, line: LineAddr) -> Option<usize> {
-        let my_chip = self.cfg.groups[g].chip;
         let mut best: Option<usize> = None;
-        for other in 0..self.l2.len() {
-            if other == g {
-                continue;
-            }
-            match self.l2[other].peek(line) {
+        for (other, l2) in (self.lo..).zip(&self.l2) {
+            match l2.peek(line) {
+                _ if other == g => {}
                 Some(MesiState::Modified) => return Some(other),
-                Some(_) => {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            self.cfg.groups[other].chip == my_chip
-                                && self.cfg.groups[b].chip != my_chip
-                        }
-                    };
-                    if better {
-                        best = Some(other);
-                    }
-                }
-                None => {}
+                Some(_) if self.closer(g, other, best) => best = Some(other),
+                _ => {}
             }
         }
         best
     }
 
-    /// Directory-backed holder search (test hook; same routine the miss
-    /// paths use).
+    /// Directory-backed holder search (test hook): the supplier choice the
+    /// miss paths make from the owner directory.
     #[doc(hidden)]
     pub fn find_holder_directory(&self, g: usize, line: LineAddr) -> Option<usize> {
-        self.find_holder(g, line)
+        let holders = self.directory.get(line.0) & !(1u64 << g);
+        let dirty = bits(holders)
+            .filter(|&other| self.l2_state(other, line) == Some(MesiState::Modified))
+            .fold(0, |mask, other| mask | 1 << other);
+        self.pick_supplier(g, holders, dirty)
     }
 
     /// The owner directory's holder bitmap for `line` (test hook).
@@ -543,12 +539,12 @@ impl MemoryHierarchy {
         self.directory.get(line.0)
     }
 
-    /// Residency bitmap rebuilt by peeking every L2 (test oracle for
+    /// Residency bitmap rebuilt by peeking every owned L2 (test oracle for
     /// [`Self::directory_mask`]).
     #[doc(hidden)]
     pub fn residency_mask_scan(&self, line: LineAddr) -> u64 {
         let mut mask = 0u64;
-        for (g, l2) in self.l2.iter().enumerate() {
+        for (g, l2) in (self.lo..).zip(&self.l2) {
             if l2.peek(line).is_some() {
                 mask |= 1 << g;
             }
@@ -556,71 +552,65 @@ impl MemoryHierarchy {
         mask
     }
 
-    fn c2c_latency(&self, a: usize, b: usize) -> u64 {
-        if self.cfg.groups[a].chip == self.cfg.groups[b].chip {
+    /// Count a cache-to-cache transfer from `h` to `g`; returns its
+    /// latency.
+    fn snoop(&mut self, g: usize, h: usize) -> u64 {
+        self.stats.snoop_transactions += 1;
+        if self.cfg.groups[g].chip == self.cfg.groups[h].chip {
+            self.stats.snoops_intra_chip += 1;
             self.cfg.c2c_intra_chip
         } else {
+            self.stats.snoops_inter_chip += 1;
             self.cfg.c2c_inter_chip
         }
     }
 
-    fn record_snoop(&mut self, a: usize, b: usize) {
-        self.stats.snoop_transactions += 1;
-        if self.cfg.groups[a].chip == self.cfg.groups[b].chip {
-            self.stats.snoops_intra_chip += 1;
-        } else {
-            self.stats.snoops_inter_chip += 1;
-        }
+    /// Whether `other` beats the current supplier candidate `best` for a
+    /// miss in `g`: any holder beats none, and a holder on `g`'s chip
+    /// beats one off it.
+    fn closer(&self, g: usize, other: usize, best: Option<usize>) -> bool {
+        let chip = |x: usize| self.cfg.groups[x].chip;
+        best.is_none_or(|b| chip(other) == chip(g) && chip(b) != chip(g))
     }
 
-    /// Invalidate every copy of `line` in L2s other than `g` (and the L1s of
-    /// the cores behind them). Returns how many L2 copies were destroyed.
-    fn invalidate_remote_copies(&mut self, g: usize, line: LineAddr) -> u64 {
-        let mut count = 0;
-        let mut remote = self.directory.get(line.0) & !(1u64 << g);
-        while remote != 0 {
-            let other = remote.trailing_zeros() as usize;
-            remote &= remote - 1;
-            // The directory says `other` holds the line, so the remove must
-            // succeed; a remote Modified copy being invalidated by BusRdX
-            // hands its data to the requester; no memory writeback. (A
-            // remote M copy can only exist here on the write-miss path.)
-            let state = self.l2[other].remove(line);
-            debug_assert!(state.is_some(), "directory bit set for non-resident line");
-            count += 1;
-            self.stats.invalidations += 1;
-            self.history[other].set_bit(line.0, HIST_LOST);
-            self.directory.clear_bit(line.0, other as u32);
-            self.back_invalidate_l1s(other, line);
-        }
-        count
-    }
-
-    /// Drop `line` from the L1s of every core behind L2 `g` (inclusive
-    /// back-invalidation).
+    /// Drop `line` from the L1s of every core behind owned L2 `g`
+    /// (inclusive back-invalidation).
     fn back_invalidate_l1s(&mut self, g: usize, line: LineAddr) {
         for &c in &self.cfg.groups[g].cores {
-            self.l1d[c].remove(line);
-            self.l1i[c].remove(line);
+            self.l1d[c - self.base_core].remove(line);
+            self.l1i[c - self.base_core].remove(line);
         }
     }
 
-    /// Drop `line` from the L1s of `core`'s siblings under the same L2.
-    fn invalidate_sibling_l1s(&mut self, core: usize, g: usize, line: LineAddr) {
+    /// Drop `line` from the L1Ds of the siblings of owned core `local`
+    /// under its L2 `g`.
+    fn invalidate_sibling_l1s(&mut self, local: usize, g: usize, line: LineAddr) {
         for &c in &self.cfg.groups[g].cores {
-            if c != core && self.l1d[c].remove(line).is_some() {
+            let sibling = c - self.base_core;
+            if sibling != local && self.l1d[sibling].remove(line).is_some() {
                 self.l1_sibling_invalidations += 1;
             }
         }
     }
 
-    /// Install `line` into L2 `g`, recording residence and handling the
-    /// evicted victim (writeback if dirty, back-invalidate L1s).
-    fn install_l2(&mut self, g: usize, line: LineAddr, state: MesiState) {
-        self.history[g].set_bit(line.0, HIST_EVER);
-        self.directory.set_bit(line.0, g as u32);
-        if let Some(ev) = self.l2[g].insert(line, state) {
+    /// Install `line` into owned L2 `g`, recording residence and handling
+    /// the evicted victim (writeback if dirty, back-invalidate L1s).
+    fn install_l2<R: Remote>(&mut self, g: usize, line: LineAddr, state: MesiState, r: &mut R) {
+        self.history[g - self.lo].set_bit(line.0, HIST_EVER);
+        if self.l2.len() > 1 {
+            self.directory.set_bit(line.0, g as u32);
+        }
+        r.send(CohMsg::Install {
+            line,
+            g: g as u32,
+            dirty: state == MesiState::Modified,
+        });
+        if let Some(ev) = self.l2[g - self.lo].insert(line, state) {
             self.directory.clear_bit(ev.addr.0, g as u32);
+            r.send(CohMsg::Evict {
+                line: ev.addr,
+                g: g as u32,
+            });
             if ev.state.dirty() {
                 self.stats.writebacks += 1;
             }
@@ -629,9 +619,10 @@ impl MemoryHierarchy {
     }
 
     fn classify_miss(&mut self, g: usize, line: LineAddr) {
-        let flags = self.history[g].get(line.0);
+        let history = &mut self.history[g - self.lo];
+        let flags = history.get(line.0);
         let kind = if flags & (1 << HIST_LOST) != 0 {
-            self.history[g].clear_bit(line.0, HIST_LOST);
+            history.clear_bit(line.0, HIST_LOST);
             MissKind::Coherence
         } else if flags & (1 << HIST_EVER) != 0 {
             MissKind::Capacity
@@ -641,29 +632,21 @@ impl MemoryHierarchy {
         self.stats.record_l2_miss(kind);
     }
 
-    fn fill_l1(&mut self, core: usize, kind: AccessKind, line: LineAddr) {
-        self.l1_mut(core, kind)
-            .insert_if_absent(line, MesiState::Shared);
-    }
-
-    /// Check the MESI exclusivity invariant for one line: if any L2 holds it
-    /// Modified or Exclusive, no other L2 may hold it at all. Used by
-    /// property tests. Audits only the L2s the owner directory names, so
-    /// the check is O(popcount) rather than O(groups).
+    /// Check the MESI exclusivity invariant for one line among the owned
+    /// L2s: if any holds it Modified or Exclusive, no other may hold it at
+    /// all. Used by property tests. Audits only the L2s the owner
+    /// directory names, so the check is O(popcount) rather than O(groups).
     pub fn mesi_invariant_holds(&self, line: LineAddr) -> bool {
-        let mut holders = self.directory.get(line.0);
-        let n_holders = holders.count_ones() as usize;
-        let mut exclusive_holders = 0usize;
-        while holders != 0 {
-            let g = holders.trailing_zeros() as usize;
-            holders &= holders - 1;
-            match self.l2[g].peek(line) {
+        let holders = self.directory.get(line.0);
+        let mut exclusive_holders = 0;
+        for g in bits(holders) {
+            match self.l2_state(g, line) {
                 Some(MesiState::Modified) | Some(MesiState::Exclusive) => exclusive_holders += 1,
                 Some(_) => {}
                 None => return false, // directory bit for a non-resident line
             }
         }
-        exclusive_holders == 0 || n_holders == 1
+        exclusive_holders == 0 || holders.count_ones() == 1
     }
 
     /// Check the inclusion invariant: every line resident in a core's L1
@@ -671,26 +654,22 @@ impl MemoryHierarchy {
     /// L1s on L2 eviction/invalidation, so this must always hold). Used by
     /// property tests.
     pub fn inclusion_holds(&self) -> bool {
-        for core in 0..self.core_to_l2.len() {
-            let g = self.core_to_l2[core];
-            for l1 in [&self.l1d[core], &self.l1i[core]] {
-                for (addr, _) in l1.lines() {
-                    if self.l2[g].peek(addr).is_none() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.core_to_l2.iter().enumerate().all(|(local, &g)| {
+            [&self.l1d[local], &self.l1i[local]]
+                .iter()
+                .all(|l1| l1.lines().all(|(addr, _)| self.l2_state(g, addr).is_some()))
+        })
     }
+}
 
-    /// All distinct lines currently resident in any L2 (diagnostics).
-    pub fn resident_lines(&self) -> HashSet<LineAddr> {
-        self.l2
-            .iter()
-            .flat_map(|c| c.lines().map(|(a, _)| a))
-            .collect()
-    }
+/// The groups of a holder bitmap, ascending.
+#[inline]
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        bit
+    })
 }
 
 #[cfg(test)]

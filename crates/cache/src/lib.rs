@@ -15,6 +15,11 @@
 //! write-through L1s per core and write-back MESI L2s shared by groups of
 //! cores, all L2s connected by a snooping bus whose cache-to-cache latency
 //! differs between intra- and inter-chip transfers.
+//!
+//! [`MemoryHierarchy`] is the one MESI implementation. It owns a range of
+//! L2 groups: the whole machine for the serial engine, one group per
+//! domain for the windowed engine, where coherence with other groups
+//! travels as [`CohMsg`]s against a [`CoherenceImage`] (see [`domain`]).
 
 pub mod cache;
 pub mod config;
@@ -26,7 +31,7 @@ pub mod stats;
 
 pub use cache::{Cache, EvictedLine, LineAddr};
 pub use config::{CacheConfig, HierarchyConfig, L2Group};
-pub use domain::{CohMsg, CoherenceImage, DomainHierarchy};
+pub use domain::{CohMsg, CoherenceImage};
 pub use hierarchy::{AccessKind, AccessOutcome, MemOp, MemoryHierarchy};
 pub use mesi::MesiState;
 pub use stats::{CacheStats, MissKind};

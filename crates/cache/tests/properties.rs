@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tlbmap_cache::{
-    AccessKind, CacheConfig, HierarchyConfig, L2Group, LineAddr, MemOp, MemoryHierarchy,
+    AccessKind, CacheConfig, CacheStats, CohMsg, CoherenceImage, HierarchyConfig, L2Group,
+    LineAddr, MemOp, MemoryHierarchy,
 };
 
 fn small_hierarchy() -> MemoryHierarchy {
@@ -136,27 +137,6 @@ proptest! {
         }
     }
 
-    /// The resident (preallocated SoA) cache layout must be observably
-    /// identical to the per-run layout through the full MESI protocol:
-    /// same per-access outcomes, same counters, same miss taxonomy.
-    #[test]
-    fn resident_layout_is_protocol_identical(steps in prop::collection::vec(step(), 1..300)) {
-        let mut per_run = MemoryHierarchy::new(small_config());
-        let mut resident = MemoryHierarchy::new_resident(small_config());
-        for s in &steps {
-            let op = if s.write { MemOp::Write } else { MemOp::Read };
-            let kind = if s.instr { AccessKind::Instr } else { AccessKind::Data };
-            let a = per_run.access(s.core, s.addr, op, kind);
-            let b = resident.access(s.core, s.addr, op, kind);
-            prop_assert_eq!(a, b, "outcome diverged at {:?}", s);
-        }
-        prop_assert_eq!(per_run.stats(), resident.stats());
-        prop_assert_eq!(
-            per_run.l1_sibling_invalidations(),
-            resident.l1_sibling_invalidations()
-        );
-    }
-
     /// Writing threads placed behind the same L2 never cause interconnect
     /// invalidations; the same accesses split across chips can.
     #[test]
@@ -187,6 +167,12 @@ proptest! {
 /// `chips` chips. Tiny caches force evictions so the directory sees the
 /// full install/evict/invalidate lifecycle, not just installs.
 fn mixed_hierarchy(groups: usize, chips: usize) -> MemoryHierarchy {
+    MemoryHierarchy::new(mixed_config(groups, chips, 2))
+}
+
+/// `groups` L2 groups of `per_group` contiguous cores each, split across
+/// `chips` chips, with the tiny caches of [`mixed_hierarchy`].
+fn mixed_config(groups: usize, chips: usize, per_group: usize) -> HierarchyConfig {
     let l1 = CacheConfig {
         size_bytes: 64 * 8,
         line_size: 64,
@@ -199,7 +185,7 @@ fn mixed_hierarchy(groups: usize, chips: usize) -> MemoryHierarchy {
         ways: 4,
         latency: 8,
     };
-    MemoryHierarchy::new(HierarchyConfig {
+    HierarchyConfig {
         l1i: l1,
         l1d: l1,
         l2,
@@ -210,11 +196,11 @@ fn mixed_hierarchy(groups: usize, chips: usize) -> MemoryHierarchy {
         numa_remote_penalty: 0,
         groups: (0..groups)
             .map(|g| L2Group {
-                cores: vec![2 * g, 2 * g + 1],
+                cores: (g * per_group..(g + 1) * per_group).collect(),
                 chip: g * chips / groups,
             })
             .collect(),
-    })
+    }
 }
 
 proptest! {
@@ -256,5 +242,88 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// What the windowed engine's barrier does, minus the delayed queue:
+/// apply every directory delta to the image, then every remote effect to
+/// the image and to the domain owning its target group (domain `d` owns
+/// groups `d * span..(d + 1) * span`).
+fn barrier(
+    image: &mut CoherenceImage,
+    domains: &mut [MemoryHierarchy],
+    span: usize,
+    msgs: &mut Vec<CohMsg>,
+) {
+    for m in msgs.iter() {
+        image.apply_directory(m);
+    }
+    for m in msgs.drain(..) {
+        image.apply_remote(&m);
+        match m {
+            CohMsg::Demote { line, target } => {
+                let g = target as usize;
+                domains[g / span].deliver_demote(g, line)
+            }
+            CohMsg::Invalidate { line, target } => {
+                let g = target as usize;
+                domains[g / span].deliver_invalidate(g, line)
+            }
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Domains of one or two L2 groups each, with a barrier after every
+    /// access, are the spanning hierarchy: with the image never stale,
+    /// message delivery of remote effects must charge exactly what inline
+    /// delivery charges — per access, in the merged counters, and in
+    /// sibling-L1 invalidations — and the image must show which L2s
+    /// really hold each line. The (1, 1) shape is the single-group case,
+    /// where no remote effect is ever sent.
+    #[test]
+    fn domain_hierarchies_match_the_spanning_hierarchy(
+        shape in prop::sample::select(vec![(1usize, 1usize), (2, 1), (2, 2), (4, 2), (8, 4)]),
+        per_group in 1usize..3,
+        span in 1usize..3,
+        accesses in prop::collection::vec(
+            (0usize..16, 0u64..24, any::<bool>(), prop::bool::weighted(0.1)),
+            1..250,
+        ),
+    ) {
+        let (groups, chips) = shape;
+        let span = span.min(groups);
+        let cores = groups * per_group;
+        let cfg = mixed_config(groups, chips, per_group);
+        let mut spanning = MemoryHierarchy::new(cfg.clone());
+        let mut domains: Vec<MemoryHierarchy> = (0..groups / span)
+            .map(|d| MemoryHierarchy::for_groups(cfg.clone(), d * span..(d + 1) * span))
+            .collect();
+        let mut image = CoherenceImage::new();
+        let mut msgs = Vec::new();
+        for &(core, line, write, instr) in &accesses {
+            let core = core % cores;
+            let op = if write && !instr { MemOp::Write } else { MemOp::Read };
+            let kind = if instr { AccessKind::Instr } else { AccessKind::Data };
+            let want = spanning.access(core, line * 64, op, kind);
+            let got = domains[core / per_group / span]
+                .access_windowed(core, line * 64, op, kind, &image, &mut msgs);
+            prop_assert_eq!(want, got, "outcome diverged at core {} line {}", core, line);
+            barrier(&mut image, &mut domains, span, &mut msgs);
+            let l = LineAddr::of(line * 64, 6);
+            prop_assert_eq!(image.holders(l), spanning.residency_mask_scan(l));
+        }
+        let mut merged = CacheStats::default();
+        for d in &domains {
+            merged.merge(d.stats());
+        }
+        prop_assert_eq!(spanning.stats(), &merged);
+        prop_assert_eq!(
+            spanning.l1_sibling_invalidations(),
+            domains.iter().map(|d| d.l1_sibling_invalidations()).sum::<u64>()
+        );
     }
 }

@@ -427,6 +427,29 @@ mod tests {
     }
 
     #[test]
+    fn regenerated_windowed_metrics_match_committed_golden_byte_for_byte() {
+        // The windowed engine's counterpart: a 4-shard `simulate ring
+        // --scale test --mapping identity --lag 8192` must reproduce the
+        // committed results/golden_metrics_shards.json exactly, so any
+        // drift in cross-domain coherence shows up in `cargo test`.
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/golden_metrics_shards.json");
+        let committed = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        let path = tmp("metrics_shards_golden_check.json");
+        let mut o = opts(&["ring", "--scale", "test", "--shards", "4", "--lag", "8192"]);
+        o.mapping = "identity".to_string();
+        o.metrics_out = Some(path.to_string_lossy().into_owned());
+        commands::simulate_cmd(o).unwrap();
+        let fresh = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            fresh, committed,
+            "regenerated windowed metrics drifted from \
+             results/golden_metrics_shards.json"
+        );
+    }
+
+    #[test]
     fn analyze_rejects_non_run_documents() {
         let doc = Json::parse(r#"{"hello":"world"}"#).unwrap();
         assert!(analyze_to_string(&doc).is_err());

@@ -6,7 +6,7 @@
 //! / `bench_with_input`, `Throughput`, `BenchmarkId`, `black_box` and the
 //! `criterion_group!` / `criterion_main!` macros. Reported times are the
 //! median of the samples that survive MAD-based outlier rejection (see
-//! [`Bencher::robust_median`]); there are no HTML reports.
+//! `Bencher::robust_median`); there are no HTML reports.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -203,7 +203,7 @@ pub mod prop {
         use crate::{Strategy, TestRng};
         use rand::Rng;
 
-        /// Acceptable size specifications for [`vec`].
+        /// Acceptable size specifications for [`vec()`].
         pub struct SizeRange {
             lo: usize,
             hi_inclusive: usize,

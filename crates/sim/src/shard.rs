@@ -4,8 +4,10 @@
 //! The serial engine interleaves all cores through one mutable borrow
 //! spine (engine → MMUs → hierarchy), so one run can never use more than
 //! one host core. This engine splits the machine along its natural seam —
-//! the L2 group — into *domains* ([`DomainHierarchy`]), each owning its
-//! cores' clocks, MMUs, page-table replica, private caches and run queue.
+//! the L2 group — into *domains*, each owning its cores' clocks, MMUs,
+//! page-table replica and run queue, and a [`MemoryHierarchy`] whose range
+//! is that one group (its L2 and private caches; the protocol is the
+//! serial engine's, with effects on other groups sent as messages).
 //! Execution proceeds in **epochs**: with `m` the minimum clock over
 //! running threads, every domain independently executes its threads up to
 //! the horizon `m + lag`, then all domains synchronize at a barrier where
@@ -39,7 +41,7 @@ use crate::sched::RunQueue;
 use crate::stats::RunStats;
 use crate::topology::Topology;
 use crate::trace::{barriers_consistent, ThreadTrace, TraceEvent};
-use tlbmap_cache::{AccessKind, CacheStats, CohMsg, CoherenceImage, DomainHierarchy};
+use tlbmap_cache::{AccessKind, CacheStats, CohMsg, CoherenceImage, MemoryHierarchy};
 use tlbmap_mem::{FrameAlloc, Mmu, PageGeometry, PageTable, Vpn};
 use tlbmap_obs::{CounterId, ProfId, Recorder};
 
@@ -70,7 +72,8 @@ struct MissRec {
 
 /// Everything one domain owns across the run.
 struct DomainState {
-    dom: DomainHierarchy,
+    /// The domain's slice of the hierarchy: its one L2 group.
+    dom: MemoryHierarchy,
     /// VPN-keyed page-table replica: every domain derives identical
     /// translations without coordinating (see [`FrameAlloc::VpnKeyed`]).
     pt: PageTable,
@@ -179,9 +182,14 @@ fn run_epoch(
                         }
                     };
                     cycles += translation.cycles;
-                    let out =
-                        ds.dom
-                            .access(ctx.core, translation.paddr.0, op, kind, image, &mut ds.msgs);
+                    let out = ds.dom.access_windowed(
+                        ctx.core,
+                        translation.paddr.0,
+                        op,
+                        kind,
+                        image,
+                        &mut ds.msgs,
+                    );
                     cycles += out.cycles;
                     ds.prof_tlb_cycles += translation.cycles;
                     ds.prof_cache_cycles += out.cycles;
@@ -224,6 +232,13 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         return Err(
             "the windowed engine does not model NUMA page homes; run serially (lag 0)".to_string(),
         );
+    }
+    if cfg.hierarchy.num_l2() > 64 {
+        return Err(format!(
+            "the windowed engine's coherence image packs holders into a u64 bitmap, \
+             so it models at most 64 L2 groups; this machine has {}",
+            cfg.hierarchy.num_l2()
+        ));
     }
     let inert = hooks.is_inert();
     if hooks.needs_inline_access() {
@@ -299,7 +314,7 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         .collect();
     let mut domains: Vec<DomainState> = (0..n_domains)
         .map(|g| DomainState {
-            dom: DomainHierarchy::new(cfg.hierarchy.clone(), g),
+            dom: MemoryHierarchy::for_groups(cfg.hierarchy.clone(), g..g + 1),
             pt: PageTable::with_alloc(cfg.geometry, FrameAlloc::VpnKeyed),
             msgs: Vec::new(),
             misses: Vec::new(),
@@ -530,10 +545,12 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
             image.apply_remote(msg);
             match *msg {
                 CohMsg::Demote { line, target } => {
-                    domains[target as usize].dom.deliver_demote(line);
+                    let g = target as usize;
+                    domains[g].dom.deliver_demote(g, line);
                 }
                 CohMsg::Invalidate { line, target } => {
-                    domains[target as usize].dom.deliver_invalidate(line);
+                    let g = target as usize;
+                    domains[g].dom.deliver_invalidate(g, line);
                 }
                 _ => {}
             }
@@ -895,6 +912,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("inline"), "unexpected error: {err}");
+
+        // More L2 groups than the image's u64 holder bitmaps can name.
+        let wide = Topology::new(1, 80, 1);
+        let err = simulate_with_plan(
+            &SimConfig::paper_software_managed(&wide),
+            &wide,
+            &workload(1, 1),
+            &Mapping::identity(1),
+            &mut NoHooks,
+            ExecPlan::windowed(1, DEFAULT_LAG),
+        )
+        .unwrap_err();
+        assert!(err.contains("64 L2 groups"), "unexpected error: {err}");
     }
 
     #[test]
