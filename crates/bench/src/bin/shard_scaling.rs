@@ -1,10 +1,10 @@
 //! A/B study: single-run simulation throughput vs `--shards`.
 //!
-//! The serial engine interleaves every simulated core through one mutable
-//! borrow spine, so one run can never use more than one host core. The
-//! windowed engine (`tlbmap_sim::shard`) splits the machine into L2-group
-//! domains behind a bounded-lag window and chunks the domains over OS
-//! threads. This binary measures what that buys on large machines: it
+//! A serial run is one domain spanning the machine, interleaving every
+//! simulated core through one mutable borrow spine, so it can never use
+//! more than one host core. A windowed run (`ExecPlan` with a nonzero lag)
+//! splits the machine into L2-group domains behind a bounded-lag window
+//! and chunks the domains over OS threads. This binary measures what that buys on large machines: it
 //! runs the same coherence-heavy workload at 64/128/256 simulated cores
 //! for a sweep of shard counts, checks that every shard count reproduces
 //! the 1-shard run exactly (the determinism contract), and writes the

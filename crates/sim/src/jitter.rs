@@ -30,64 +30,17 @@ impl JitterConfig {
     }
 }
 
-/// Per-thread jitter stream.
-#[derive(Debug)]
-pub struct Jitter {
-    rngs: Vec<SmallRng>,
-    amplitude: f64,
-}
-
-impl Jitter {
-    /// Build one stream per thread. Passing `None` yields a no-op jitter.
-    ///
-    /// # Panics
-    /// Panics if the amplitude is outside `[0, 1)`.
-    pub fn new(config: Option<JitterConfig>, n_threads: usize) -> Self {
-        match config {
-            None => Jitter {
-                rngs: Vec::new(),
-                amplitude: 0.0,
-            },
-            Some(c) => {
-                assert!(
-                    (0.0..1.0).contains(&c.amplitude),
-                    "jitter amplitude {} outside [0, 1)",
-                    c.amplitude
-                );
-                Jitter {
-                    rngs: (0..n_threads)
-                        .map(|t| {
-                            SmallRng::seed_from_u64(c.seed.wrapping_add(t as u64 * 0x9E37_79B9))
-                        })
-                        .collect(),
-                    amplitude: c.amplitude,
-                }
-            }
-        }
-    }
-
-    /// Scale a compute duration for `thread`.
-    pub fn scale(&mut self, thread: usize, cycles: u64) -> u64 {
-        if self.rngs.is_empty() || self.amplitude == 0.0 {
-            return cycles;
-        }
-        let f: f64 = self.rngs[thread].gen_range(1.0 - self.amplitude..=1.0 + self.amplitude);
-        (cycles as f64 * f).round() as u64
-    }
-}
-
-/// One thread's jitter stream, detached from the pool. The windowed engine
-/// carries this inside each thread's context so whichever shard executes
-/// the thread draws the exact sequence [`Jitter`] would have produced for
-/// it — jitter stays a per-thread property, independent of sharding.
+/// One thread's jitter stream. Each thread draws its own seeded sequence,
+/// so jitter stays a per-thread property: the same whichever domain or OS
+/// thread executes it.
 #[derive(Debug, Clone)]
-pub struct ThreadJitter {
+pub(crate) struct ThreadJitter {
     rng: Option<SmallRng>,
     amplitude: f64,
 }
 
 impl ThreadJitter {
-    /// The stream [`Jitter::new`] would build for `thread`.
+    /// The stream of `thread`; `None` yields a no-op stream.
     ///
     /// # Panics
     /// Panics if the amplitude is outside `[0, 1)`.
@@ -132,22 +85,22 @@ mod tests {
 
     #[test]
     fn disabled_jitter_is_identity() {
-        let mut j = Jitter::new(None, 4);
-        assert_eq!(j.scale(0, 1000), 1000);
-        assert_eq!(j.scale(3, 7), 7);
+        let mut j = ThreadJitter::new(None, 3);
+        assert_eq!(j.scale(1000), 1000);
+        assert_eq!(j.scale(7), 7);
     }
 
     #[test]
     fn jitter_stays_within_amplitude() {
-        let mut j = Jitter::new(
+        let mut j = ThreadJitter::new(
             Some(JitterConfig {
                 seed: 1,
                 amplitude: 0.1,
             }),
-            2,
+            0,
         );
         for _ in 0..1000 {
-            let v = j.scale(0, 1000);
+            let v = j.scale(1000);
             assert!((900..=1100).contains(&v), "scaled value {v} out of band");
         }
     }
@@ -155,40 +108,26 @@ mod tests {
     #[test]
     fn same_seed_same_stream() {
         let cfg = Some(JitterConfig::with_seed(42));
-        let mut a = Jitter::new(cfg, 2);
-        let mut b = Jitter::new(cfg, 2);
+        let mut a = ThreadJitter::new(cfg, 1);
+        let mut b = ThreadJitter::new(cfg, 1);
         for _ in 0..100 {
-            assert_eq!(a.scale(1, 12345), b.scale(1, 12345));
+            assert_eq!(a.scale(12345), b.scale(12345));
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = Jitter::new(Some(JitterConfig::with_seed(1)), 1);
-        let mut b = Jitter::new(Some(JitterConfig::with_seed(2)), 1);
-        let va: Vec<u64> = (0..20).map(|_| a.scale(0, 10_000)).collect();
-        let vb: Vec<u64> = (0..20).map(|_| b.scale(0, 10_000)).collect();
+        let mut a = ThreadJitter::new(Some(JitterConfig::with_seed(1)), 0);
+        let mut b = ThreadJitter::new(Some(JitterConfig::with_seed(2)), 0);
+        let va: Vec<u64> = (0..20).map(|_| a.scale(10_000)).collect();
+        let vb: Vec<u64> = (0..20).map(|_| b.scale(10_000)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn thread_jitter_reproduces_the_pooled_stream() {
-        let cfg = Some(JitterConfig::with_seed(42));
-        let mut pool = Jitter::new(cfg, 4);
-        for t in 0..4 {
-            let mut solo = ThreadJitter::new(cfg, t);
-            for i in 0..200u64 {
-                assert_eq!(solo.scale(1000 + i), pool.scale(t, 1000 + i));
-            }
-        }
-        let mut off = ThreadJitter::new(None, 0);
-        assert_eq!(off.scale(777), 777);
     }
 
     #[test]
     #[should_panic(expected = "amplitude")]
     fn amplitude_validated() {
-        Jitter::new(
+        ThreadJitter::new(
             Some(JitterConfig {
                 seed: 0,
                 amplitude: 1.5,

@@ -18,17 +18,23 @@
 //! smallest-clock-first discipline, barriers synchronize all threads, and
 //! the optional compute-time jitter is drawn from a seeded RNG so repeated
 //! runs (Table V's standard deviations) are reproducible.
+//!
+//! There is one engine loop. An [`ExecPlan`] with `lag == 0` (the default
+//! behind [`simulate`]) runs it as one domain spanning the machine, with
+//! every observation point inline — the exact serial engine. A nonzero lag
+//! runs one domain per L2 group in bounded-lag epochs, optionally over
+//! several OS threads, with coherence exchanged as messages between epochs.
 
 pub mod codec;
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod hooks;
-pub mod jitter;
+mod jitter;
 pub mod mapping;
-pub mod msgq;
-pub mod numa;
+mod msgq;
+mod numa;
 mod sched;
-pub mod shard;
+mod shard;
 pub mod stats;
 pub mod topology;
 pub mod trace;
@@ -42,7 +48,6 @@ pub use engine::{
 pub use hooks::{NoHooks, SimHooks, TlbView};
 pub use jitter::JitterConfig;
 pub use mapping::Mapping;
-pub use msgq::DelayedQueue;
 pub use numa::{NumaConfig, NumaPolicy};
 pub use stats::RunStats;
 pub use topology::Topology;

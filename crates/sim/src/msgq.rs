@@ -53,7 +53,7 @@ impl<T> Ord for Entry<T> {
 /// delivers every message whose delivery cycle has been reached, in
 /// `(deliver_cycle, sender, seq)` order.
 #[derive(Default)]
-pub struct DelayedQueue<T> {
+pub(crate) struct DelayedQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: Vec<u64>,
 }
@@ -68,11 +68,13 @@ impl<T> DelayedQueue<T> {
     }
 
     /// Messages currently in flight.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no messages are in flight.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

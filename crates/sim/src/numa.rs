@@ -35,7 +35,7 @@ pub struct NumaConfig {
 
 /// Tracks the home chip of every touched page during a run.
 #[derive(Debug, Clone)]
-pub struct PageHomes {
+pub(crate) struct PageHomes {
     policy: NumaPolicy,
     chips: usize,
     homes: HashMap<Vpn, usize>,
@@ -63,20 +63,6 @@ impl PageHomes {
             NumaPolicy::FirstTouch => *self.homes.entry(vpn).or_insert(accessor_chip),
         }
     }
-
-    /// Pages homed per chip (diagnostics).
-    pub fn pages_per_chip(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.chips];
-        match self.policy {
-            NumaPolicy::Interleave => counts, // not tracked
-            NumaPolicy::FirstTouch => {
-                for &chip in self.homes.values() {
-                    counts[chip] += 1;
-                }
-                counts
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +75,8 @@ mod tests {
         assert_eq!(h.home_of(Vpn(5), 1), 1);
         // Later touches from elsewhere do not migrate the page.
         assert_eq!(h.home_of(Vpn(5), 0), 1);
-        assert_eq!(h.pages_per_chip(), vec![0, 1]);
+        assert_eq!(h.homes.len(), 1);
+        assert_eq!(h.homes[&Vpn(5)], 1);
     }
 
     #[test]

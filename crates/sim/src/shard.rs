@@ -1,91 +1,245 @@
-//! The windowed (sharded) execution engine: deterministic bounded-lag
-//! parallel simulation of one run.
+//! The engine: one coordinator over *domains*, each run by one batch
+//! executor.
 //!
-//! The serial engine interleaves all cores through one mutable borrow
-//! spine (engine → MMUs → hierarchy), so one run can never use more than
-//! one host core. This engine splits the machine along its natural seam —
-//! the L2 group — into *domains*, each owning its cores' clocks, MMUs,
-//! page-table replica and run queue, and a [`MemoryHierarchy`] whose range
-//! is that one group (its L2 and private caches; the protocol is the
-//! serial engine's, with effects on other groups sent as messages).
-//! Execution proceeds in **epochs**: with `m` the minimum clock over
-//! running threads, every domain independently executes its threads up to
-//! the horizon `m + lag`, then all domains synchronize at a barrier where
-//! cross-domain coherence messages are exchanged through the
-//! deterministic [`DelayedQueue`] and the shared [`CoherenceImage`] is
-//! updated.
+//! A domain owns a contiguous range of cores (clocks, MMUs, run queue), a
+//! page table and a [`MemoryHierarchy`] over its L2 groups. In each
+//! **epoch** every domain runs its threads smallest-clock-first up to the
+//! epoch's horizon; the coordinator then releases barriers, remaps and
+//! migrates threads, and settles what the domains deferred.
+//! [`ExecPlan::lag`] picks the partition:
 //!
-//! **Determinism contract.** Everything a run produces is a pure function
-//! of (traces, config, mapping, lag). The shard count only chunks the
-//! per-domain work over OS threads: domains share nothing during an epoch
-//! (the image is frozen, each domain's state is private), and the barrier
-//! applies messages in the queue's total order `(deliver_cycle, domain,
-//! seq)` — so `--shards 1` and `--shards 8` are byte-identical, and CI
-//! gates on exactly that.
+//! * `lag == 0` — one domain spanning the machine, with an unbounded
+//!   horizon (an epoch ends when every thread blocks at a barrier or
+//!   finishes). It sees every MMU, so hooks, recorder probes, ticks and
+//!   NUMA page homes all run inline, in serial order: the exact serial
+//!   engine.
+//! * `lag > 0` — one domain per L2 group, horizon `m + lag` for `m` the
+//!   minimum running clock. A domain sees other groups through a frozen
+//!   [`CoherenceImage`], sends its effects on them as [`CohMsg`]s and logs
+//!   its TLB misses; at the epoch barrier the messages apply in the
+//!   [`DelayedQueue`]'s total order `(deliver_cycle, domain, seq)`, the
+//!   misses replay through the hooks, and due ticks fire. Domains share
+//!   nothing during an epoch, so the shard count (OS threads the domains
+//!   are chunked over) never changes a result, and CI gates on that.
+//!   Deviations from the serial engine are bounded by `lag` cycles (see
+//!   DESIGN.md §16): stale remote residency, miss hooks seeing post-fill
+//!   TLBs, epoch-granular ticks, and per-domain [`FrameAlloc::VpnKeyed`]
+//!   page tables.
 //!
-//! **Deviations from the serial engine** (all bounded by `lag` simulated
-//! cycles; see DESIGN.md §16): remote residency is observed through the
-//! image (stale up to one window); deferred TLB-miss hooks replay at epoch
-//! ends against post-fill TLB state; ticks fire at epoch granularity; and
-//! page tables are per-domain [`FrameAlloc::VpnKeyed`] replicas. A run
-//! with `lag == 0` never reaches this module — the exact serial engine
-//! runs instead.
+//! The executor meets the observation points through a compile-time
+//! [`Mode`] ([`Inline`] or [`PerGroup`]): the per-event loop has no mode
+//! branch.
 
 use crate::config::SimConfig;
-use crate::engine::{ExecPlan, ThreadState};
+use crate::engine::ExecPlan;
 use crate::hooks::{SimHooks, TlbView};
 use crate::jitter::ThreadJitter;
 use crate::mapping::Mapping;
 use crate::msgq::DelayedQueue;
+use crate::numa::PageHomes;
 use crate::sched::RunQueue;
 use crate::stats::RunStats;
 use crate::topology::Topology;
 use crate::trace::{barriers_consistent, ThreadTrace, TraceEvent};
-use tlbmap_cache::{AccessKind, CacheStats, CohMsg, CoherenceImage, MemoryHierarchy};
-use tlbmap_mem::{FrameAlloc, Mmu, PageGeometry, PageTable, Vpn};
+use tlbmap_cache::{AccessKind, CacheStats, CohMsg, CoherenceImage, MemOp, MemoryHierarchy};
+use tlbmap_mem::{FrameAlloc, Mmu, PageGeometry, PageTable, Translation, VirtAddr, Vpn};
 use tlbmap_obs::{CounterId, ProfId, Recorder};
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ThreadState {
+    Running,
+    AtBarrier,
+    Done,
+}
 
 /// Per-thread execution context, moved into a domain's worklist for the
 /// epochs the thread runs in and parked with the coordinator otherwise.
 struct ThreadCtx {
-    /// Core the thread is pinned to (global id; changes only at barrier
-    /// migrations, which the coordinator performs).
+    /// Core the thread is pinned to (changes only at barrier migrations).
     core: usize,
     /// Trace read position.
     pos: usize,
     state: ThreadState,
-    /// The thread's private jitter stream (identical to the serial
-    /// engine's per-thread stream regardless of which shard runs it).
+    /// The thread's own jitter stream, whichever domain or shard runs it.
     jitter: ThreadJitter,
 }
 
-/// A TLB miss recorded during an epoch, replayed in deterministic global
-/// order at the epoch barrier (observability + detection hooks).
+/// One access, as the executor hands it to a [`Mode`].
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    core: usize,
+    thread: usize,
+    vaddr: VirtAddr,
+    op: MemOp,
+    kind: AccessKind,
+}
+
+/// Everything one domain owns across the run, besides its slices of the
+/// per-core clock and MMU arrays.
+struct DomainState {
+    /// First core of the domain's contiguous core range.
+    base: usize,
+    /// The domain's slice of the hierarchy: the whole machine or one group.
+    dom: MemoryHierarchy,
+    /// The page table; per-group domains hold [`FrameAlloc::VpnKeyed`]
+    /// replicas, which derive identical translations without coordinating.
+    pt: PageTable,
+    /// Threads executing here this epoch, ascending thread id.
+    work: Vec<(usize, ThreadCtx)>,
+    accesses: u64,
+}
+
+/// How a domain's executor meets the engine's observation points.
+trait Mode {
+    /// Before each event, at the running clock.
+    fn event(&mut self, _clk: u64) {}
+    /// A `Compute` event of `cycles` (jitter applied).
+    fn compute(&mut self, cycles: u64);
+    /// Every access, before translation.
+    fn access(&mut self, _a: Access) {}
+    /// A TLB miss at `clk`, before its fill. Returns the cycles it costs.
+    fn tlb_miss(&mut self, mmus: &[Mmu], clk: u64, a: Access, vpn: Vpn) -> u64;
+    /// Perform the translated access; returns its cycles plus `tr`'s.
+    fn serve(&mut self, dom: &mut MemoryHierarchy, a: Access, tr: Translation) -> u64;
+    /// After each event: fire the ticks due by `clk`, adding their cost.
+    fn after_event(&mut self, _mmus: &[Mmu], _clk: &mut u64) {}
+}
+
+/// Every observation point runs inline. The spanning domain's [`Mode`] —
+/// it sees every MMU — and the coordinator's caller of the hooks at epoch
+/// barriers.
+struct Inline<'a, const OBSERVED: bool> {
+    hooks: &'a mut dyn SimHooks,
+    /// An inert hook set is never called: the skipped bodies would observe
+    /// nothing and charge zero cycles.
+    inert: bool,
+    rec: &'a Recorder,
+    thread_on_core: Vec<Option<usize>>,
+    /// NUMA page homes (`None` on a UMA machine).
+    homes: Option<PageHomes>,
+    topo: &'a Topology,
+    geometry: PageGeometry,
+    period: u64,
+    /// When the next tick is due; `u64::MAX` (never) without a period.
+    next_tick: u64,
+    /// Detection cycles charged and searches run.
+    overhead: u64,
+    searches: u64,
+}
+
+impl<const OBSERVED: bool> Inline<'_, OBSERVED> {
+    /// Fire the periodic (HM) interrupt due at `next_tick`. Returns the
+    /// cycles its search costs.
+    fn tick(&mut self, mmus: &[Mmu]) -> u64 {
+        let at = self.next_tick;
+        self.next_tick += self.period;
+        if OBSERVED {
+            self.rec.set_cycle(at);
+            self.rec.inc(CounterId::Ticks);
+        }
+        let overhead = if self.inert {
+            0
+        } else {
+            let view = TlbView::new(mmus, &self.thread_on_core);
+            self.hooks.on_tick(at, &view)
+        };
+        if OBSERVED {
+            self.rec.prof_charge(ProfId::TickDetectScan, overhead);
+        }
+        self.charge(overhead)
+    }
+
+    fn charge(&mut self, overhead: u64) -> u64 {
+        if overhead > 0 {
+            self.overhead += overhead;
+            self.searches += 1;
+        }
+        overhead
+    }
+}
+
+impl<const OBSERVED: bool> Mode for Inline<'_, OBSERVED> {
+    fn event(&mut self, clk: u64) {
+        // The running core's clock is the global minimum, so it is the
+        // best cycle estimate for events and snapshot scheduling.
+        if OBSERVED {
+            self.rec.advance(clk);
+        }
+    }
+
+    fn compute(&mut self, cycles: u64) {
+        if OBSERVED {
+            self.rec.prof_charge(ProfId::EngineCompute, cycles);
+        }
+    }
+
+    fn access(&mut self, a: Access) {
+        if !self.inert {
+            self.hooks.on_access(a.core, a.thread, a.vaddr, a.op);
+        }
+    }
+
+    /// The trap between the miss and its fill (SM).
+    fn tlb_miss(&mut self, mmus: &[Mmu], _clk: u64, a: Access, vpn: Vpn) -> u64 {
+        if OBSERVED {
+            let data = a.kind == AccessKind::Data;
+            self.rec.record_tlb_miss(a.core, a.thread, vpn.0, data);
+        }
+        if self.inert {
+            return 0;
+        }
+        let view = TlbView::new(mmus, &self.thread_on_core);
+        let overhead = self.hooks.on_tlb_miss(a.core, a.thread, vpn, a.kind, &view);
+        if OBSERVED && overhead > 0 {
+            self.rec.prof_charge(ProfId::MissDetectScan, overhead);
+        }
+        self.charge(overhead)
+    }
+
+    fn serve(&mut self, dom: &mut MemoryHierarchy, a: Access, tr: Translation) -> u64 {
+        // Only a NUMA run computes the page and chip (`chip_of` divides).
+        let (geometry, topo) = (self.geometry, self.topo);
+        let home =
+            (self.homes.as_mut()).map(|h| h.home_of(a.vaddr.vpn(geometry), topo.chip_of(a.core)));
+        let out = dom.access_numa(a.core, tr.paddr.0, a.op, a.kind, home);
+        if !self.inert {
+            self.hooks.on_access_outcome(a.core, a.thread, &out);
+        }
+        if OBSERVED {
+            self.rec.prof_charge(ProfId::EngineAccess, 0);
+            self.rec.prof_charge(ProfId::TlbLookup, tr.cycles);
+            self.rec.prof_charge(ProfId::CacheAccess, out.cycles);
+        }
+        tr.cycles + out.cycles
+    }
+
+    fn after_event(&mut self, mmus: &[Mmu], clk: &mut u64) {
+        // The interrupt fires against the running core's clock, which
+        // tracks global progress. One large `Compute` can jump several
+        // periods; every interrupt that became due fires.
+        while *clk >= self.next_tick {
+            *clk += self.tick(mmus);
+        }
+    }
+}
+
+/// A TLB miss a per-group domain logged, replayed at the epoch barrier.
 #[derive(Debug, Clone, Copy)]
 struct MissRec {
     cycle: u64,
-    core: usize,
-    thread: usize,
-    vpn: u64,
-    is_data: bool,
+    vpn: Vpn,
+    access: Access,
 }
 
-/// Everything one domain owns across the run.
-struct DomainState {
-    /// The domain's slice of the hierarchy: its one L2 group.
-    dom: MemoryHierarchy,
-    /// VPN-keyed page-table replica: every domain derives identical
-    /// translations without coordinating (see [`FrameAlloc::VpnKeyed`]).
-    pt: PageTable,
+/// What a per-group domain defers to the epoch barrier.
+#[derive(Default)]
+struct GroupLog {
     /// Outbound coherence messages, in execution (per-sender FIFO) order.
     msgs: Vec<CohMsg>,
     /// TLB misses of the current epoch, in execution order.
     misses: Vec<MissRec>,
-    /// Threads executing here this epoch, ascending thread id.
-    work: Vec<(usize, ThreadCtx)>,
-    accesses: u64,
     // Profile sums, settled into the recorder once at the end of the run
-    // (identical totals to the serial engine's per-event charges).
+    // (identical totals to per-event charges).
     prof_compute_cycles: u64,
     prof_compute_calls: u64,
     prof_tlb_cycles: u64,
@@ -93,72 +247,98 @@ struct DomainState {
     prof_access_calls: u64,
 }
 
-/// One domain's working set for an epoch: its state plus the slices of
-/// the global per-core arrays covering its contiguous core range.
-struct EpochUnit<'a> {
-    ds: &'a mut DomainState,
-    clocks: &'a mut [u64],
-    mmus: &'a mut [Mmu],
-    base: usize,
+/// A per-group domain's [`Mode`]. It sees only its own MMUs and the frozen
+/// image, so it logs misses and coherence effects for the epoch barrier.
+struct PerGroup<'a> {
+    image: &'a CoherenceImage,
+    log: &'a mut GroupLog,
 }
+
+impl Mode for PerGroup<'_> {
+    fn compute(&mut self, cycles: u64) {
+        self.log.prof_compute_cycles += cycles;
+        self.log.prof_compute_calls += 1;
+    }
+
+    fn tlb_miss(&mut self, _mmus: &[Mmu], cycle: u64, access: Access, vpn: Vpn) -> u64 {
+        self.log.misses.push(MissRec { cycle, vpn, access });
+        0
+    }
+
+    fn serve(&mut self, dom: &mut MemoryHierarchy, a: Access, tr: Translation) -> u64 {
+        let log = &mut *self.log;
+        let out = dom.access_windowed(a.core, tr.paddr.0, a.op, a.kind, self.image, &mut log.msgs);
+        log.prof_tlb_cycles += tr.cycles;
+        log.prof_cache_cycles += out.cycles;
+        log.prof_access_calls += 1;
+        tr.cycles + out.cycles
+    }
+}
+
+/// A per-group domain with its slices of the per-core clock and MMU arrays.
+type GroupUnit<'a> = (
+    &'a mut DomainState,
+    &'a mut [u64],
+    &'a mut [Mmu],
+    PerGroup<'a>,
+);
 
 /// The running thread with the smallest `(clock, core)`; `None` when no
 /// thread is running.
 fn running_min(ctxs: &[Option<ThreadCtx>], clocks: &[u64]) -> Option<(u64, usize)> {
-    let mut best: Option<(u64, usize)> = None;
-    for ctx in ctxs.iter().flatten() {
-        if ctx.state != ThreadState::Running {
-            continue;
-        }
-        let key = (clocks[ctx.core], ctx.core);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
-        }
-    }
-    best
+    let running = ctxs
+        .iter()
+        .flatten()
+        .filter(|c| c.state == ThreadState::Running);
+    running.map(|c| (clocks[c.core], c.core)).min()
 }
 
-/// Execute one domain's worklist up to `horizon` against the frozen
-/// `image`. Pure with respect to everything outside the unit: safe to run
-/// on any OS thread, in any real-time order relative to other domains.
-fn run_epoch(
-    u: &mut EpochUnit<'_>,
+/// Execute one domain's worklist up to `horizon`, given the domain's
+/// slices of the per-core arrays. Touches nothing else but `mode`, so
+/// per-group domains may run on any OS thread, in any real-time order.
+///
+/// Each batch runs the smallest-clock thread until its clock passes the
+/// next runnable thread's (or the horizon), or it blocks or finishes. The
+/// batch streams packed 8-byte words, with position and clock in locals.
+fn run_epoch<M: Mode>(
+    ds: &mut DomainState,
+    clocks: &mut [u64],
+    mmus: &mut [Mmu],
+    mode: &mut M,
     traces: &[ThreadTrace],
     horizon: u64,
-    image: &CoherenceImage,
     geometry: PageGeometry,
 ) {
-    let ds = &mut *u.ds;
     if ds.work.is_empty() {
         return;
     }
     let mut work = std::mem::take(&mut ds.work);
     // Keyed by local worklist index: the list is ascending by thread id,
-    // so clock ties break toward the lowest thread id, as in the serial
-    // engine's global queue.
+    // so clock ties break toward the lowest thread id.
     let mut runq = RunQueue::new(work.len());
     for (i, (_, ctx)) in work.iter().enumerate() {
-        runq.push(i, u.clocks[ctx.core - u.base]);
+        runq.push(i, clocks[ctx.core - ds.base]);
     }
     while let Some((i, _)) = runq.peek() {
         let limit = runq.second_min_clock().min(horizon - 1);
-        let (tid, ctx) = &mut work[i];
-        let tid = *tid;
-        let local = ctx.core - u.base;
-        let trace = traces[tid].words();
+        let (thread, ctx) = &mut work[i];
+        let (thread, core) = (*thread, ctx.core);
+        let local = core - ds.base;
+        let trace = traces[thread].words();
         let mut p = ctx.pos;
-        let mut clk = u.clocks[local];
+        let mut clk = clocks[local];
         while ctx.state == ThreadState::Running && clk <= limit {
             let Some(&word) = trace.get(p) else {
+                // Trace ended on a barrier: nothing left after release.
                 ctx.state = ThreadState::Done;
                 break;
             };
             p += 1;
+            mode.event(clk);
             match word.unpack() {
                 TraceEvent::Compute(c) => {
                     let scaled = ctx.jitter.scale(c);
-                    ds.prof_compute_cycles += scaled;
-                    ds.prof_compute_calls += 1;
+                    mode.compute(scaled);
                     clk += scaled;
                 }
                 TraceEvent::Barrier => {
@@ -166,43 +346,32 @@ fn run_epoch(
                 }
                 TraceEvent::Access { vaddr, op, kind } => {
                     ds.accesses += 1;
-                    let mut cycles = 0u64;
-                    let translation = match u.mmus[local].lookup(vaddr) {
-                        Some(tr) => tr,
-                        None => {
-                            let vpn = vaddr.vpn(geometry);
-                            ds.misses.push(MissRec {
-                                cycle: clk,
-                                core: ctx.core,
-                                thread: tid,
-                                vpn: vpn.0,
-                                is_data: kind == AccessKind::Data,
-                            });
-                            u.mmus[local].fill(vaddr, &mut ds.pt)
-                        }
-                    };
-                    cycles += translation.cycles;
-                    let out = ds.dom.access_windowed(
-                        ctx.core,
-                        translation.paddr.0,
+                    let a = Access {
+                        core,
+                        thread,
+                        vaddr,
                         op,
                         kind,
-                        image,
-                        &mut ds.msgs,
-                    );
-                    cycles += out.cycles;
-                    ds.prof_tlb_cycles += translation.cycles;
-                    ds.prof_cache_cycles += out.cycles;
-                    ds.prof_access_calls += 1;
-                    clk += cycles;
+                    };
+                    mode.access(a);
+                    let mut cycles = 0u64;
+                    let tr = match mmus[local].lookup(vaddr) {
+                        Some(tr) => tr,
+                        None => {
+                            cycles += mode.tlb_miss(mmus, clk, a, vaddr.vpn(geometry));
+                            mmus[local].fill(vaddr, &mut ds.pt)
+                        }
+                    };
+                    clk += cycles + mode.serve(&mut ds.dom, a, tr);
                 }
             }
             if p == trace.len() && ctx.state == ThreadState::Running {
                 ctx.state = ThreadState::Done;
             }
+            mode.after_event(mmus, &mut clk);
         }
         ctx.pos = p;
-        u.clocks[local] = clk;
+        clocks[local] = clk;
         if ctx.state == ThreadState::Running && clk < horizon {
             runq.advance_min(clk);
         } else {
@@ -213,7 +382,9 @@ fn run_epoch(
     ds.work = work;
 }
 
-pub(crate) fn run_windowed<const OBSERVED: bool>(
+/// Run `traces` under `plan` (shard count and lag already validated): the
+/// engine behind every `simulate*` entry point.
+pub(crate) fn run<const OBSERVED: bool>(
     cfg: &SimConfig,
     topo: &Topology,
     traces: &[ThreadTrace],
@@ -222,31 +393,28 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
     rec: &Recorder,
     plan: ExecPlan,
 ) -> Result<RunStats, String> {
-    let lag = plan.lag;
-    let shards = plan.shards;
-    debug_assert!(
-        lag > 0 && shards >= 1,
-        "dispatch guarantees a windowed plan"
-    );
-    if cfg.numa.is_some() {
-        return Err(
-            "the windowed engine does not model NUMA page homes; run serially (lag 0)".to_string(),
-        );
-    }
-    if cfg.hierarchy.num_l2() > 64 {
-        return Err(format!(
-            "the windowed engine's coherence image packs holders into a u64 bitmap, \
-             so it models at most 64 L2 groups; this machine has {}",
-            cfg.hierarchy.num_l2()
-        ));
-    }
-    let inert = hooks.is_inert();
-    if hooks.needs_inline_access() {
-        return Err(
-            "this hook set needs inline per-access callbacks, which the windowed engine \
-             cannot provide; run serially (lag 0)"
-                .to_string(),
-        );
+    let spanning = plan.lag == 0;
+    if !spanning {
+        if cfg.numa.is_some() {
+            return Err(
+                "the windowed engine does not model NUMA page homes; run serially (lag 0)"
+                    .to_string(),
+            );
+        }
+        if cfg.hierarchy.num_l2() > 64 {
+            return Err(format!(
+                "the windowed engine's coherence image packs holders into a u64 bitmap, \
+                 so it models at most 64 L2 groups; this machine has {}",
+                cfg.hierarchy.num_l2()
+            ));
+        }
+        if hooks.needs_inline_access() {
+            return Err(
+                "this hook set needs inline per-access callbacks, which the windowed engine \
+                 cannot provide; run serially (lag 0)"
+                    .to_string(),
+            );
+        }
     }
 
     let n_threads = traces.len();
@@ -270,29 +438,44 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         "threads disagree on barrier count; the workload would deadlock"
     );
 
-    // The per-core arrays are sliced per domain, so L2 groups must cover
-    // the cores as consecutive contiguous ranges in group order.
-    let n_domains = cfg.hierarchy.num_l2();
-    let mut domain_base = Vec::with_capacity(n_domains);
-    let mut domain_len = Vec::with_capacity(n_domains);
+    // The partition. Per-group domains slice the per-core arrays, so the
+    // L2 groups must cover the cores as consecutive contiguous ranges in
+    // group order. The spanning domain defers nothing, so it keeps no log.
+    let domain = |base, dom, alloc| DomainState {
+        base,
+        dom,
+        pt: PageTable::with_alloc(cfg.geometry, alloc),
+        work: Vec::new(),
+        accesses: 0,
+    };
+    let mut domains = Vec::new();
+    let mut domain_len = Vec::new();
+    let mut logs: Vec<GroupLog> = Vec::new();
     let mut core_domain = vec![0usize; n_cores];
-    let mut next = 0usize;
-    for (g, group) in cfg.hierarchy.groups.iter().enumerate() {
-        for (i, &c) in group.cores.iter().enumerate() {
-            if c != next + i {
-                return Err(format!(
-                    "the windowed engine needs contiguous ascending L2 groups; \
-                     group {g} breaks the pattern at core {c}"
-                ));
+    if spanning {
+        let dom = MemoryHierarchy::new(cfg.hierarchy.clone());
+        domains.push(domain(0, dom, cfg.frame_alloc));
+        domain_len.push(n_cores);
+    } else {
+        let mut next = 0;
+        for (g, group) in cfg.hierarchy.groups.iter().enumerate() {
+            for (i, &c) in group.cores.iter().enumerate() {
+                if c != next + i {
+                    return Err(format!(
+                        "the windowed engine needs contiguous ascending L2 groups; \
+                         group {g} breaks the pattern at core {c}"
+                    ));
+                }
+                core_domain[c] = g;
             }
-            core_domain[c] = g;
+            let dom = MemoryHierarchy::for_groups(cfg.hierarchy.clone(), g..g + 1);
+            domains.push(domain(next, dom, FrameAlloc::VpnKeyed));
+            domain_len.push(group.cores.len());
+            logs.push(GroupLog::default());
+            next += group.cores.len();
         }
-        domain_base.push(next);
-        domain_len.push(group.cores.len());
-        next += group.cores.len();
     }
 
-    let mut thread_on_core = mapping.threads_on_cores(n_cores);
     let mut ctxs: Vec<Option<ThreadCtx>> = (0..n_threads)
         .map(|t| {
             Some(ThreadCtx {
@@ -307,43 +490,36 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
             })
         })
         .collect();
-
     let mut clocks = vec![0u64; n_cores];
     let mut mmus: Vec<Mmu> = (0..n_cores)
         .map(|_| Mmu::new(cfg.mmu, cfg.geometry))
         .collect();
-    let mut domains: Vec<DomainState> = (0..n_domains)
-        .map(|g| DomainState {
-            dom: MemoryHierarchy::for_groups(cfg.hierarchy.clone(), g..g + 1),
-            pt: PageTable::with_alloc(cfg.geometry, FrameAlloc::VpnKeyed),
-            msgs: Vec::new(),
-            misses: Vec::new(),
-            work: Vec::new(),
-            accesses: 0,
-            prof_compute_cycles: 0,
-            prof_compute_calls: 0,
-            prof_tlb_cycles: 0,
-            prof_cache_cycles: 0,
-            prof_access_calls: 0,
-        })
-        .collect();
+    let mut inline = Inline::<OBSERVED> {
+        inert: hooks.is_inert(),
+        hooks,
+        rec,
+        thread_on_core: mapping.threads_on_cores(n_cores),
+        homes: cfg.numa.map(|nc| PageHomes::new(nc.policy, topo.chips)),
+        topo,
+        geometry: cfg.geometry,
+        period: cfg.tick_period.unwrap_or(0),
+        next_tick: cfg.tick_period.unwrap_or(u64::MAX),
+        overhead: 0,
+        searches: 0,
+    };
 
     let mut image = CoherenceImage::new();
-    let mut queue: DelayedQueue<CohMsg> = DelayedQueue::new(n_domains);
+    let mut queue: DelayedQueue<CohMsg> = DelayedQueue::new(domains.len());
     let mut delivered: Vec<(u32, CohMsg)> = Vec::new();
-
-    let mut next_tick = cfg.tick_period;
-    let mut detection_overhead = 0u64;
-    let mut detection_searches = 0u64;
     let mut barriers_crossed = 0u64;
     let mut migrations = 0u64;
     let mut epochs = 0u64;
     let mut msgq_delivered = 0u64;
 
     loop {
-        if running_min(&ctxs, &clocks).is_none() {
+        let Some((mut m, mut min_core)) = running_min(&ctxs, &clocks) else {
             // Nobody runnable: everyone is done, or every live thread
-            // waits at the barrier — release it (serial engine's logic).
+            // waits at the barrier — release it.
             if ctxs.iter().flatten().all(|c| c.state == ThreadState::Done) {
                 break;
             }
@@ -366,11 +542,14 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
                 rec.record_barrier(barriers_crossed - 1, release_at);
                 rec.prof_charge(ProfId::Barrier, cfg.barrier_cost);
             }
-            let requested = if inert {
+
+            // Barrier release is the safe migration point: every live
+            // thread is parked at the same cycle.
+            let requested = if inline.inert {
                 None
             } else {
-                let view = TlbView::new(&mmus, &thread_on_core);
-                hooks.on_barrier(barriers_crossed - 1, &view)
+                let view = TlbView::new(&mmus, &inline.thread_on_core);
+                inline.hooks.on_barrier(barriers_crossed - 1, &view)
             };
             if let Some(new_map) = requested {
                 assert_eq!(
@@ -386,6 +565,8 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
                     let oc = ctx.core;
                     let nc = new_map.core_of(t);
                     assert!(nc < n_cores, "remapper core {nc} out of range");
+                    // Done threads are repositioned for bookkeeping
+                    // consistency but pay no migration.
                     if ctx.state == ThreadState::Done {
                         ctx.core = nc;
                         continue;
@@ -396,6 +577,9 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
                             rec.record_migration(t, oc, nc);
                             rec.prof_charge(ProfId::Migration, cfg.migration_cost);
                         }
+                        // The thread's translations stay behind on the old
+                        // core and are useless to whoever arrives there;
+                        // both TLBs start cold.
                         mmus[oc].flush();
                         mmus[nc].flush();
                         new_clocks[nc] = release_at + cfg.migration_cost;
@@ -403,47 +587,24 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
                     ctx.core = nc;
                 }
                 clocks = new_clocks;
-                thread_on_core = new_map.threads_on_cores(n_cores);
+                inline.thread_on_core = new_map.threads_on_cores(n_cores);
             }
-            continue;
-        }
-
-        // Fire ticks that became due at the global minimum running clock
-        // (epoch-granularity analogue of the serial in-batch tick loop);
-        // the overhead lands on the minimum core, which recomputes the
-        // minimum for the next due check.
-        if let Some(period) = cfg.tick_period {
-            let mut tick_at = next_tick.expect("next_tick set when period set");
-            while let Some((min_clk, min_core)) = running_min(&ctxs, &clocks) {
-                if tick_at > min_clk {
-                    break;
-                }
-                if OBSERVED {
-                    rec.set_cycle(tick_at);
-                    rec.inc(CounterId::Ticks);
-                }
-                let overhead = if inert {
-                    0
-                } else {
-                    let view = TlbView::new(&mmus, &thread_on_core);
-                    hooks.on_tick(tick_at, &view)
-                };
-                if OBSERVED {
-                    rec.prof_charge(ProfId::TickDetectScan, overhead);
-                }
-                if overhead > 0 {
-                    detection_overhead += overhead;
-                    detection_searches += 1;
-                    clocks[min_core] += overhead;
-                }
-                tick_at += period;
-            }
-            next_tick = Some(tick_at);
-        }
-        let Some((m, _)) = running_min(&ctxs, &clocks) else {
             continue;
         };
-        let horizon = m.saturating_add(lag);
+
+        let horizon = if spanning {
+            u64::MAX
+        } else {
+            // Fire the ticks due by the global minimum running clock (the
+            // epoch-granularity analogue of the inline per-event ticks);
+            // the overhead lands on the minimum core, so the minimum is
+            // recomputed for the next due check.
+            while inline.next_tick <= m {
+                clocks[min_core] += inline.tick(&mmus);
+                (m, min_core) = running_min(&ctxs, &clocks).expect("ticks block no thread");
+            }
+            m.saturating_add(plan.lag)
+        };
 
         // Hand every running thread below the horizon to its domain.
         for (t, slot) in ctxs.iter_mut().enumerate() {
@@ -455,66 +616,60 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
                 domains[core_domain[ctx.core]].work.push((t, ctx));
             }
         }
-        epochs += 1;
 
-        // Slice the per-core arrays along domain boundaries and execute
-        // the epoch — inline for one shard, over scoped OS threads
-        // otherwise. Chunking domains over shards is pure distribution:
-        // each domain's evolution is a function of its own inputs only.
-        {
-            let mut units: Vec<EpochUnit<'_>> = Vec::with_capacity(n_domains);
+        if spanning {
+            run_epoch(
+                &mut domains[0],
+                &mut clocks,
+                &mut mmus,
+                &mut inline,
+                traces,
+                horizon,
+                cfg.geometry,
+            );
+        } else {
+            epochs += 1;
+            // Slice the per-core arrays along domain boundaries and run the
+            // epoch — inline for one shard, chunked over scoped OS threads
+            // otherwise; each domain depends on its own inputs only.
+            let mut units = Vec::with_capacity(domains.len());
             let mut clocks_rest: &mut [u64] = &mut clocks;
             let mut mmus_rest: &mut [Mmu] = &mut mmus;
-            for (g, ds) in domains.iter_mut().enumerate() {
-                let (c, cr) = clocks_rest.split_at_mut(domain_len[g]);
-                let (mm, mr) = mmus_rest.split_at_mut(domain_len[g]);
+            for ((ds, log), &len) in domains.iter_mut().zip(&mut logs).zip(&domain_len) {
+                let (c, cr) = clocks_rest.split_at_mut(len);
+                let (mm, mr) = mmus_rest.split_at_mut(len);
                 clocks_rest = cr;
                 mmus_rest = mr;
-                units.push(EpochUnit {
-                    ds,
-                    clocks: c,
-                    mmus: mm,
-                    base: domain_base[g],
-                });
+                units.push((ds, c, mm, PerGroup { image: &image, log }));
             }
             let geometry = cfg.geometry;
-            let image_ref = &image;
-            if shards == 1 {
-                for u in &mut units {
-                    run_epoch(u, traces, horizon, image_ref, geometry);
+            let chunk = units.len().div_ceil(plan.shards);
+            let run_chunk = move |chunk: &mut [GroupUnit<'_>]| {
+                for (ds, clocks, mmus, mode) in chunk {
+                    run_epoch(ds, clocks, mmus, mode, traces, horizon, geometry);
                 }
+            };
+            if plan.shards == 1 {
+                run_chunk(&mut units);
             } else {
-                let chunk = units.len().div_ceil(shards);
                 std::thread::scope(|s| {
-                    for chunk_units in units.chunks_mut(chunk) {
-                        s.spawn(move || {
-                            for u in chunk_units {
-                                run_epoch(u, traces, horizon, image_ref, geometry);
-                            }
-                        });
+                    for c in units.chunks_mut(chunk) {
+                        s.spawn(move || run_chunk(c));
                     }
                 });
             }
-        }
 
-        // Simulated slack at this epoch's barrier: how far each working
-        // domain stopped short of the horizon.
-        if OBSERVED {
-            let mut slack = 0u64;
-            for ds in &domains {
-                if ds.work.is_empty() {
-                    continue;
+            // Simulated slack at this epoch's barrier: how far each
+            // working domain stopped short of the horizon.
+            if OBSERVED {
+                let mut slack = 0u64;
+                for ds in &domains {
+                    if let Some(last) = ds.work.iter().map(|(_, c)| clocks[c.core]).max() {
+                        slack += horizon - last.min(horizon);
+                    }
                 }
-                let last = ds
-                    .work
-                    .iter()
-                    .map(|(_, c)| clocks[c.core])
-                    .max()
-                    .expect("non-empty worklist")
-                    .min(horizon);
-                slack += horizon - last;
+                rec.prof_charge(ProfId::ShardBarrier, slack);
             }
-            rec.prof_charge(ProfId::ShardBarrier, slack);
         }
 
         // Reclaim the worklists.
@@ -528,8 +683,8 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         // delivery at the horizon, so the applied order is the queue's
         // total order (deliver_cycle, sender domain, per-sender seq) —
         // independent of which OS thread produced what when.
-        for (g, ds) in domains.iter_mut().enumerate() {
-            for msg in ds.msgs.drain(..) {
+        for (g, log) in logs.iter_mut().enumerate() {
+            for msg in log.msgs.drain(..) {
                 queue.send(horizon, g as u32, msg);
             }
         }
@@ -544,59 +699,37 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         for (_, msg) in &delivered {
             image.apply_remote(msg);
             match *msg {
-                CohMsg::Demote { line, target } => {
-                    let g = target as usize;
-                    domains[g].dom.deliver_demote(g, line);
-                }
-                CohMsg::Invalidate { line, target } => {
-                    let g = target as usize;
-                    domains[g].dom.deliver_invalidate(g, line);
-                }
+                CohMsg::Demote { line, target } => domains[target as usize]
+                    .dom
+                    .deliver_demote(target as usize, line),
+                CohMsg::Invalidate { line, target } => domains[target as usize]
+                    .dom
+                    .deliver_invalidate(target as usize, line),
                 _ => {}
             }
         }
 
-        // Replay the epoch's TLB misses in deterministic global order
-        // (cycle, then domain, then per-domain execution order) for the
-        // recorder and the detection hooks. The view is the post-epoch
-        // TLB state — a bounded-lag deviation from the serial inline call.
-        if OBSERVED || !inert {
+        // Replay the logged TLB misses in deterministic global order (cycle,
+        // domain, execution order), seeing post-epoch TLB state — a
+        // bounded-lag deviation from the inline trap.
+        if OBSERVED || !inline.inert {
             let mut order: Vec<(u64, usize, usize)> = Vec::new();
-            for (g, ds) in domains.iter().enumerate() {
-                for (i, mr) in ds.misses.iter().enumerate() {
+            for (g, log) in logs.iter().enumerate() {
+                for (i, mr) in log.misses.iter().enumerate() {
                     order.push((mr.cycle, g, i));
                 }
             }
             order.sort_unstable();
             for (cycle, g, i) in order {
-                let mr = domains[g].misses[i];
+                let MissRec { vpn, access, .. } = logs[g].misses[i];
                 if OBSERVED {
                     rec.advance(cycle);
-                    rec.record_tlb_miss(mr.core, mr.thread, mr.vpn, mr.is_data);
                 }
-                if !inert {
-                    let kind = if mr.is_data {
-                        AccessKind::Data
-                    } else {
-                        AccessKind::Instr
-                    };
-                    let overhead = {
-                        let view = TlbView::new(&mmus, &thread_on_core);
-                        hooks.on_tlb_miss(mr.core, mr.thread, Vpn(mr.vpn), kind, &view)
-                    };
-                    if overhead > 0 {
-                        detection_overhead += overhead;
-                        detection_searches += 1;
-                        clocks[mr.core] += overhead;
-                        if OBSERVED {
-                            rec.prof_charge(ProfId::MissDetectScan, overhead);
-                        }
-                    }
-                }
+                clocks[access.core] += inline.tlb_miss(&mmus, cycle, access, vpn);
             }
         }
-        for ds in &mut domains {
-            ds.misses.clear();
+        for log in &mut logs {
+            log.misses.clear();
         }
     }
 
@@ -607,19 +740,13 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         cache.merge(ds.dom.stats());
     }
     if OBSERVED {
-        for ds in &domains {
-            rec.prof_charge_many(
-                ProfId::EngineCompute,
-                ds.prof_compute_cycles,
-                ds.prof_compute_calls,
-            );
-            rec.prof_charge_many(ProfId::EngineAccess, 0, ds.prof_access_calls);
-            rec.prof_charge_many(ProfId::TlbLookup, ds.prof_tlb_cycles, ds.prof_access_calls);
-            rec.prof_charge_many(
-                ProfId::CacheAccess,
-                ds.prof_cache_cycles,
-                ds.prof_access_calls,
-            );
+        for log in &logs {
+            let calls = log.prof_access_calls;
+            let compute = (log.prof_compute_cycles, log.prof_compute_calls);
+            rec.prof_charge_many(ProfId::EngineCompute, compute.0, compute.1);
+            rec.prof_charge_many(ProfId::EngineAccess, 0, calls);
+            rec.prof_charge_many(ProfId::TlbLookup, log.prof_tlb_cycles, calls);
+            rec.prof_charge_many(ProfId::CacheAccess, log.prof_cache_cycles, calls);
         }
         rec.add(CounterId::Accesses, accesses);
         rec.add(CounterId::ShardBarrierWaits, epochs);
@@ -632,8 +759,8 @@ pub(crate) fn run_windowed<const OBSERVED: bool>(
         core_cycles: clocks,
         tlb: mmus.iter().map(|m| m.tlb_stats()).collect(),
         cache,
-        detection_overhead_cycles: detection_overhead,
-        detection_searches,
+        detection_overhead_cycles: inline.overhead,
+        detection_searches: inline.searches,
         accesses,
         barriers: barriers_crossed,
         migrations,
