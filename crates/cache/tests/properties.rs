@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use tlbmap_cache::{
-    AccessKind, CacheConfig, CacheStats, CohMsg, CoherenceImage, HierarchyConfig, L2Group,
-    LineAddr, MemOp, MemoryHierarchy,
+    AccessKind, Cache, CacheConfig, CacheStats, CohMsg, CoherenceImage, EvictedLine,
+    HierarchyConfig, L2Group, LineAddr, MemOp, MemoryHierarchy, MesiState,
 };
 
 fn small_hierarchy() -> MemoryHierarchy {
@@ -325,5 +325,201 @@ proptest! {
             spanning.l1_sibling_invalidations(),
             domains.iter().map(|d| d.l1_sibling_invalidations()).sum::<u64>()
         );
+    }
+}
+
+/// The naive set-associative LRU cache `Cache` must behave as: every
+/// resident line carries a stamp from one global clock, probes that use a
+/// line restamp it, and a full set evicts its minimum stamp.
+/// `insert_if_absent` leaves a resident line's stamp alone; `peek` and the
+/// state writers never stamp.
+struct ModelCache {
+    n_sets: u64,
+    ways: usize,
+    clock: u64,
+    /// Per set: `(line, state, stamp)`, unordered.
+    sets: Vec<Vec<(u64, MesiState, u64)>>,
+}
+
+impl ModelCache {
+    fn new(cfg: CacheConfig) -> Self {
+        let n_sets = cfg.sets();
+        ModelCache {
+            n_sets: n_sets as u64,
+            ways: cfg.ways,
+            clock: 0,
+            sets: vec![Vec::new(); n_sets],
+        }
+    }
+
+    fn find(&mut self, line: u64) -> Option<&mut (u64, MesiState, u64)> {
+        let set = (line % self.n_sets) as usize;
+        self.sets[set].iter_mut().find(|e| e.0 == line)
+    }
+
+    fn touch(&mut self, line: u64) -> Option<MesiState> {
+        self.clock += 1;
+        let clock = self.clock;
+        let e = self.find(line)?;
+        e.2 = clock;
+        Some(e.1)
+    }
+
+    fn peek(&mut self, line: u64) -> Option<MesiState> {
+        self.find(line).map(|e| e.1)
+    }
+
+    fn replace_state(&mut self, line: u64, state: MesiState) -> Option<MesiState> {
+        let e = self.find(line)?;
+        Some(std::mem::replace(&mut e.1, state))
+    }
+
+    fn insert(&mut self, line: u64, state: MesiState) -> Option<EvictedLine> {
+        self.clock += 1;
+        let set = &mut self.sets[(line % self.n_sets) as usize];
+        let evicted = (set.len() == self.ways).then(|| {
+            let victim = (0..set.len()).min_by_key(|&i| set[i].2).unwrap();
+            let (addr, state, _) = set.swap_remove(victim);
+            EvictedLine {
+                addr: LineAddr(addr),
+                state,
+            }
+        });
+        set.push((line, state, self.clock));
+        evicted
+    }
+
+    fn remove(&mut self, line: u64) -> Option<MesiState> {
+        let set = &mut self.sets[(line % self.n_sets) as usize];
+        let i = set.iter().position(|e| e.0 == line)?;
+        Some(set.swap_remove(i).1)
+    }
+
+    fn lines(&self) -> Vec<(LineAddr, MesiState)> {
+        let mut v: Vec<_> = self
+            .sets
+            .iter()
+            .flatten()
+            .map(|&(l, s, _)| (LineAddr(l), s))
+            .collect();
+        v.sort_by_key(|&(l, _)| l);
+        v
+    }
+}
+
+/// The geometries the model test covers: direct-mapped, 2-way with 4
+/// sets, the paper's L1 and L2 (12288 sets, a non-power-of-two count),
+/// and a 16-way cache.
+fn model_geometries() -> Vec<CacheConfig> {
+    let geometry = |sets: u64, ways: usize| CacheConfig {
+        size_bytes: 64 * sets * ways as u64,
+        line_size: 64,
+        ways,
+        latency: 1,
+    };
+    vec![
+        geometry(4, 1),
+        geometry(4, 2),
+        CacheConfig::paper_l1(),
+        CacheConfig::paper_l2(),
+        geometry(8, 16),
+    ]
+}
+
+/// A line address drawn so that a trace revisits a few sets often enough
+/// to fill and evict them: `base + set + k * n_sets`. The bases put lines
+/// below 2^32, straddling it, and far above it.
+fn model_line(n_sets: u64, base: u8, set: u64, k: u64) -> u64 {
+    let base = match base {
+        0 => 0,
+        1 => (1u64 << 32) - 3 * n_sets,
+        _ => 1u64 << 45,
+    };
+    base + set + k * n_sets
+}
+
+fn model_state(s: u8) -> MesiState {
+    match s {
+        0 => MesiState::Modified,
+        1 => MesiState::Exclusive,
+        _ => MesiState::Shared,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Cache` matches the stamp-based LRU model on random op traces: every
+    /// return value (hits, states, evicted lines and their states) and the
+    /// final resident set.
+    #[test]
+    fn cache_matches_lru_reference_model(
+        geometry in 0usize..5,
+        ops in prop::collection::vec((0u8..8, 0u8..3, 0u64..3, 0u64..20, 0u8..3), 1..400),
+    ) {
+        let cfg = model_geometries()[geometry];
+        let n_sets = cfg.sets() as u64;
+        let mut cache = Cache::new(cfg);
+        let mut model = ModelCache::new(cfg);
+        for (i, &(op, base, set, k, state)) in ops.iter().enumerate() {
+            let line = model_line(n_sets, base, set, k);
+            let addr = LineAddr(line);
+            let state = model_state(state);
+            match op {
+                0 => prop_assert_eq!(cache.touch(addr), model.touch(line), "touch at op {}", i),
+                1 => prop_assert_eq!(cache.peek(addr), model.peek(line), "peek at op {}", i),
+                2 => {
+                    // `insert` requires an absent line.
+                    if model.peek(line).is_none() {
+                        prop_assert_eq!(
+                            cache.insert(addr, state),
+                            model.insert(line, state),
+                            "insert at op {}",
+                            i
+                        );
+                    }
+                }
+                3 => {
+                    let want = match model.touch(line) {
+                        Some(_) => (true, None),
+                        None => (false, model.insert(line, state)),
+                    };
+                    prop_assert_eq!(
+                        cache.touch_or_insert(addr, state),
+                        want,
+                        "touch_or_insert at op {}",
+                        i
+                    );
+                }
+                4 => {
+                    let want = match model.peek(line) {
+                        Some(_) => None,
+                        None => model.insert(line, state),
+                    };
+                    prop_assert_eq!(
+                        cache.insert_if_absent(addr, state),
+                        want,
+                        "insert_if_absent at op {}",
+                        i
+                    );
+                }
+                5 => prop_assert_eq!(
+                    cache.replace_state(addr, state),
+                    model.replace_state(line, state),
+                    "replace_state at op {}",
+                    i
+                ),
+                6 => prop_assert_eq!(
+                    cache.set_state(addr, state),
+                    model.replace_state(line, state).is_some(),
+                    "set_state at op {}",
+                    i
+                ),
+                _ => prop_assert_eq!(cache.remove(addr), model.remove(line), "remove at op {}", i),
+            }
+        }
+        let mut lines: Vec<_> = cache.lines().collect();
+        lines.sort_by_key(|&(l, _)| l);
+        prop_assert_eq!(lines, model.lines());
     }
 }
