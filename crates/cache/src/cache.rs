@@ -1,13 +1,18 @@
 //! A generic set-associative cache of line metadata with LRU replacement.
 //!
-//! Only metadata is stored — tags, MESI state, LRU timestamps — because the
-//! simulator never needs line *contents* (workloads compute on native Rust
-//! data). One structure serves both L1s (which ignore the MESI field beyond
+//! Only metadata is stored — tags and MESI state — because the simulator
+//! never needs line *contents* (workloads compute on native Rust data).
+//! One structure serves both L1s (which ignore the MESI field beyond
 //! valid/invalid) and the coherent L2s.
 //!
-//! Sets are per-set `Vec<Line>`s grown lazily: a simulation builds a
-//! fresh hierarchy per run and touches a sparse fraction of the paper L2's
-//! 12288 sets, so allocation is paid only for sets actually used.
+//! Every way is one `u64` word, `(line << 2) | state`, and `0` marks an
+//! empty way. The sets are one flat array, `ways` words per set, and each
+//! set keeps its lines packed at the front in recency order: way 0 holds
+//! the most recently used line, the last occupied way the least. A hit
+//! moves its line to the front, an insert into a full set drops the last
+//! way, and a removal shifts the later ways down. Replacement therefore
+//! needs no stamps, and an 8-way set of the paper's L2 is exactly one
+//! 64-byte host cache line, aligned as one.
 
 use crate::config::CacheConfig;
 use crate::mesi::MesiState;
@@ -33,60 +38,53 @@ pub struct EvictedLine {
     pub state: MesiState,
 }
 
-/// One resident line, packed to 16 bytes: the MESI state lives in the low
-/// two bits of `meta`, the LRU stamp in the high bits. Whole-word `meta`
-/// comparison orders lines by recency (stamps are unique — every probe
-/// that stamps bumps the cache clock), which keeps the victim scan a bare
-/// `u64` minimum.
-#[derive(Debug, Clone)]
-struct Line {
-    addr: u64,
-    meta: u64,
-}
-
+/// The low two bits of a way word. `Invalid` has no code: invalid lines
+/// are removed, never stored, so a resident way is never the empty word.
 #[inline]
 fn encode_state(state: MesiState) -> u64 {
     match state {
-        MesiState::Modified => 0,
-        MesiState::Exclusive => 1,
-        MesiState::Shared => 2,
-        MesiState::Invalid => 3,
+        MesiState::Modified => 1,
+        MesiState::Exclusive => 2,
+        MesiState::Shared => 3,
+        MesiState::Invalid => panic!("invalid lines are removed, not stored"),
     }
 }
 
 #[inline]
-fn decode_state(meta: u64) -> MesiState {
-    match meta & 3 {
-        0 => MesiState::Modified,
-        1 => MesiState::Exclusive,
-        2 => MesiState::Shared,
-        _ => MesiState::Invalid,
+fn decode_state(word: u64) -> MesiState {
+    match word & 3 {
+        1 => MesiState::Modified,
+        2 => MesiState::Exclusive,
+        _ => MesiState::Shared,
     }
 }
 
+/// The way word of `line` in `state`. Line addresses are byte addresses
+/// shifted by at least three bits (line size ≥ 8), so the shift cannot
+/// overflow.
 #[inline]
-fn pack_meta(state: MesiState, stamp: u64) -> u64 {
-    (stamp << 2) | encode_state(state)
+fn way_word(line: u64, state: MesiState) -> u64 {
+    (line << 2) | encode_state(state)
 }
 
-/// Position of the first index `i < n` with `tag(i) == addr`, scanning
-/// four tags per iteration.
+/// Position of the first way whose word, state bits aside, equals `key`
+/// (a line address shifted left by two; an empty way matches key 0),
+/// scanning four ways per iteration.
 ///
 /// The four compares are evaluated unconditionally and OR-combined before
-/// the single branch, u64x4-style: the compiler keeps all four (strided)
-/// tag loads in flight instead of chaining a load→compare→branch per way,
-/// which measurably beats the scalar scan on the paper's 8-way L2 (see the
-/// `tag_compare` benchmark). Tag order inside a set is unrelated to
-/// recency (LRU lives in `meta`), so returning the first match preserves
-/// behaviour exactly.
+/// the single branch, so the four loads of one block are in flight
+/// together instead of chaining a load→compare→branch per way (see the
+/// `tag_compare` benchmark).
 #[inline(always)]
-fn scan4(n: usize, addr: u64, tag: impl Fn(usize) -> u64) -> Option<usize> {
+fn scan4(set: &[u64], key: u64) -> Option<usize> {
+    let hit = |i: usize| (set[i] ^ key) < 4;
+    let n = set.len();
     let mut i = 0;
     while i + 4 <= n {
-        let h0 = tag(i) == addr;
-        let h1 = tag(i + 1) == addr;
-        let h2 = tag(i + 2) == addr;
-        let h3 = tag(i + 3) == addr;
+        let h0 = hit(i);
+        let h1 = hit(i + 1);
+        let h2 = hit(i + 2);
+        let h3 = hit(i + 3);
         if h0 | h1 | h2 | h3 {
             let off = if h0 {
                 0
@@ -101,42 +99,61 @@ fn scan4(n: usize, addr: u64, tag: impl Fn(usize) -> u64) -> Option<usize> {
         }
         i += 4;
     }
-    while i < n {
-        if tag(i) == addr {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
+    (i..n).find(|&i| hit(i))
 }
 
-/// Way index of `addr` within `set`, if resident (4-wide unrolled scan).
+/// Way of `line` within `set`, if resident. Only an empty way matches
+/// the tag of line 0 without holding it, and empty ways follow every
+/// resident one, so the first tag match is line 0's way if line 0 is
+/// resident and the first empty way if not.
 #[inline(always)]
-fn find_way(set: &[Line], addr: u64) -> Option<usize> {
-    scan4(set.len(), addr, |i| set[i].addr)
+fn find_way(set: &[u64], line: u64) -> Option<usize> {
+    scan4(set, line << 2).filter(|&way| set[way] != 0)
 }
 
-/// Scalar way scan over `(tag, meta)` pairs — the pre-unroll baseline,
-/// exposed only so the `tag_compare` benchmark can A/B it against
-/// [`way_scan_unrolled`] on the exact 16-byte line layout the caches use.
+/// Scalar way scan of a one-word-per-way set — the baseline the
+/// `tag_compare` benchmark A/Bs against [`way_scan_unrolled`].
 #[doc(hidden)]
-pub fn way_scan_scalar(set: &[(u64, u64)], addr: u64) -> Option<usize> {
-    set.iter().position(|&(tag, _)| tag == addr)
+pub fn way_scan_scalar(set: &[u64], line: LineAddr) -> Option<usize> {
+    let key = line.0 << 2;
+    set.iter()
+        .position(|&word| (word ^ key) < 4)
+        .filter(|&way| set[way] != 0)
 }
 
-/// Unrolled way scan over `(tag, meta)` pairs — the same 4-wide compare
-/// the caches run internally, exposed for the `tag_compare` benchmark.
+/// The 4-wide way scan the caches run, exposed for the `tag_compare`
+/// benchmark.
 #[doc(hidden)]
-pub fn way_scan_unrolled(set: &[(u64, u64)], addr: u64) -> Option<usize> {
-    scan4(set.len(), addr, |i| set[i].0)
+pub fn way_scan_unrolled(set: &[u64], line: LineAddr) -> Option<usize> {
+    find_way(set, line.0)
 }
 
-/// Set-associative cache of line metadata.
-#[derive(Debug, Clone)]
+/// Move the line in `way` to the front of `set`, shifting the ways
+/// before it back by one; returns its word. The shift is a loop rather
+/// than `copy_within`, which would call `memmove` for a handful of words.
+#[inline(always)]
+fn to_front(set: &mut [u64], way: usize) -> u64 {
+    let word = set[way];
+    let mut carry = word;
+    for slot in &mut set[..=way] {
+        carry = std::mem::replace(slot, carry);
+    }
+    word
+}
+
+/// Words of one 64-byte host cache line.
+const HOST_LINE_WORDS: usize = 8;
+
+/// Set-associative cache of line metadata. Line addresses must be below
+/// 2^62, which every byte address shifted by a line size of at least 8
+/// is.
+#[derive(Debug)]
 pub struct Cache {
-    config: CacheConfig,
-    /// Per-set line storage, grown on first use.
-    sets: Vec<Vec<Line>>,
+    ways: usize,
+    /// `n_sets × ways` way words from index `base` on, set by set; the
+    /// words before `base` pad set 0 to a host-line boundary.
+    words: Vec<u64>,
+    base: usize,
     n_sets: usize,
     /// `n_sets - 1` when the set count is a power of two, else `usize::MAX`.
     /// Lets the per-access index computation use a mask instead of a
@@ -146,16 +163,6 @@ pub struct Cache {
     /// counts (the paper's 12288-set L2): `addr % n_sets` becomes two
     /// multiplies for any 32-bit line address.
     modmul: u64,
-    clock: u64,
-    /// Address of the most recently stamped line (`u64::MAX` when unset),
-    /// with its current state. Because this line holds the globally
-    /// maximal LRU stamp, a repeat probe may return its state without
-    /// re-stamping: bumping the maximum again cannot change the relative
-    /// stamp order that replacement decisions depend on. Back-to-back
-    /// probes of the same line — the common case under spatial locality —
-    /// then skip the set scan entirely.
-    hot_addr: u64,
-    hot_state: MesiState,
 }
 
 impl Cache {
@@ -166,9 +173,12 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         let n_sets = config.sets();
+        let words = vec![0; n_sets * config.ways + HOST_LINE_WORDS - 1];
+        let misalign = words.as_ptr() as usize / 8 % HOST_LINE_WORDS;
         Cache {
-            config,
-            sets: vec![Vec::new(); n_sets],
+            ways: config.ways,
+            words,
+            base: (HOST_LINE_WORDS - misalign) % HOST_LINE_WORDS,
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
@@ -176,15 +186,7 @@ impl Cache {
                 usize::MAX
             },
             modmul: (u64::MAX / n_sets as u64).wrapping_add(1),
-            clock: 0,
-            hot_addr: u64::MAX,
-            hot_state: MesiState::Invalid,
         }
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     #[inline]
@@ -200,122 +202,97 @@ impl Cache {
         }
     }
 
-    /// State of `addr` if resident, touching LRU.
+    /// Index in `words` of the first way of `addr`'s set.
+    #[inline]
+    fn set_start(&self, addr: LineAddr) -> usize {
+        debug_assert!(addr.0 < 1 << 62, "line {addr:?} overflows a way word");
+        self.base + self.set_index(addr) * self.ways
+    }
+
+    /// The ways of `addr`'s set, most recently used first.
+    #[inline]
+    fn ways_of(&self, addr: LineAddr) -> &[u64] {
+        let start = self.set_start(addr);
+        &self.words[start..start + self.ways]
+    }
+
+    #[inline]
+    fn ways_of_mut(&mut self, addr: LineAddr) -> &mut [u64] {
+        let start = self.set_start(addr);
+        &mut self.words[start..start + self.ways]
+    }
+
+    /// State of `addr` if resident, making it the set's most recent line.
     #[inline]
     pub fn touch(&mut self, addr: LineAddr) -> Option<MesiState> {
-        if addr.0 == self.hot_addr {
-            return Some(self.hot_state);
-        }
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
-        let way = find_way(&self.sets[set], addr.0)?;
-        let line = &mut self.sets[set][way];
-        let state = decode_state(line.meta);
-        line.meta = (clock << 2) | (line.meta & 3);
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        Some(state)
+        let set = self.ways_of_mut(addr);
+        let way = find_way(set, addr.0)?;
+        Some(decode_state(to_front(set, way)))
     }
 
     /// State of `addr` if resident, without touching LRU (snoop path).
     #[inline]
     pub fn peek(&self, addr: LineAddr) -> Option<MesiState> {
-        if addr.0 == self.hot_addr {
-            return Some(self.hot_state);
-        }
-        let set = self.set_index(addr);
-        let lines = &self.sets[set];
-        find_way(lines, addr.0).map(|way| decode_state(lines[way].meta))
+        let set = self.ways_of(addr);
+        find_way(set, addr.0).map(|way| decode_state(set[way]))
     }
 
     /// Change the state of a resident line. Returns `false` if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
-        let set = self.set_index(addr);
-        if let Some(way) = find_way(&self.sets[set], addr.0) {
-            let line = &mut self.sets[set][way];
-            line.meta = (line.meta & !3) | encode_state(state);
-            if addr.0 == self.hot_addr {
-                self.hot_state = state;
-            }
-            true
-        } else {
-            false
-        }
+        self.replace_state(addr, state).is_some()
     }
 
     /// Change the state of a resident line, returning its previous state
-    /// (`None` if absent). One set scan where a `peek` + [`Cache::set_state`]
-    /// pair would take two — the coherence miss paths read the old state and
-    /// write the new one for every holder the owner directory names.
+    /// (`None` if absent). Recency is unchanged. One set scan where a
+    /// `peek` + [`Cache::set_state`] pair would take two — the coherence
+    /// miss paths read the old state and write the new one for every
+    /// holder the owner directory names.
     #[inline]
     pub fn replace_state(&mut self, addr: LineAddr, state: MesiState) -> Option<MesiState> {
         debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
-        let set = self.set_index(addr);
-        let way = find_way(&self.sets[set], addr.0)?;
-        let line = &mut self.sets[set][way];
-        let old = decode_state(line.meta);
-        line.meta = (line.meta & !3) | encode_state(state);
-        if addr.0 == self.hot_addr {
-            self.hot_state = state;
-        }
-        Some(old)
+        let set = self.ways_of_mut(addr);
+        let way = find_way(set, addr.0)?;
+        let old = set[way];
+        set[way] = way_word(addr.0, state);
+        Some(decode_state(old))
     }
 
-    /// Evict the LRU way of a full `set`, clearing the hot-line memo if it
-    /// was the victim.
+    /// Put `addr` in front of `set`, shifting the occupied ways back by
+    /// one. Returns the line shifted out of the last way if the set was
+    /// full.
     #[inline]
-    fn evict_lru(&mut self, set: usize) -> EvictedLine {
-        let lines = &mut self.sets[set];
-        let victim_way = lines
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.meta)
-            .expect("full set is non-empty")
-            .0;
-        let victim = lines.swap_remove(victim_way);
-        if victim.addr == self.hot_addr {
-            self.hot_addr = u64::MAX;
+    fn push_front(set: &mut [u64], addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
+        let mut carry = way_word(addr.0, state);
+        for way in set.iter_mut() {
+            carry = std::mem::replace(way, carry);
+            if carry == 0 {
+                return None;
+            }
         }
-        EvictedLine {
-            addr: LineAddr(victim.addr),
-            state: decode_state(victim.meta),
-        }
+        Some(EvictedLine {
+            addr: LineAddr(carry >> 2),
+            state: decode_state(carry),
+        })
     }
 
     /// Install `addr` with `state`, evicting the LRU line of the set if it
     /// is full. Returns the evicted line, if any.
     ///
     /// # Panics
-    /// Panics (debug) if `addr` is already resident — callers must use
-    /// [`Cache::set_state`] for state changes.
+    /// Panics if `state` is `Invalid`, and (debug) if `addr` is already
+    /// resident — callers must use [`Cache::set_state`] for state changes.
     pub fn insert(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
+        let set = self.ways_of_mut(addr);
         debug_assert!(
-            find_way(&self.sets[set], addr.0).is_none(),
+            find_way(set, addr.0).is_none(),
             "insert of already-resident line {addr:?}"
         );
-        let evicted = if self.sets[set].len() == self.config.ways {
-            Some(self.evict_lru(set))
-        } else {
-            None
-        };
-        self.sets[set].push(Line {
-            addr: addr.0,
-            meta: pack_meta(state, clock),
-        });
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        evicted
+        Self::push_front(set, addr, state)
     }
 
-    /// Write-allocate probe: stamp LRU if `addr` is resident, else install
-    /// it with `state` (evicting the set's LRU line if full). One set scan
-    /// instead of the touch-then-insert pair; the relative order of LRU
-    /// stamps — all that replacement decisions depend on — is identical.
+    /// Write-allocate probe: make `addr` the set's most recent line if it
+    /// is resident, else install it with `state` (evicting the set's LRU
+    /// line if full). One set scan instead of the touch-then-insert pair.
     /// Returns whether the line was already resident, plus any eviction.
     #[inline]
     pub fn touch_or_insert(
@@ -323,85 +300,49 @@ impl Cache {
         addr: LineAddr,
         state: MesiState,
     ) -> (bool, Option<EvictedLine>) {
-        if addr.0 == self.hot_addr {
-            return (true, None);
+        let set = self.ways_of_mut(addr);
+        match find_way(set, addr.0) {
+            Some(way) => {
+                to_front(set, way);
+                (true, None)
+            }
+            None => (false, Self::push_front(set, addr, state)),
         }
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
-        if let Some(way) = find_way(&self.sets[set], addr.0) {
-            let line = &mut self.sets[set][way];
-            let resident = decode_state(line.meta);
-            line.meta = (clock << 2) | (line.meta & 3);
-            self.hot_addr = addr.0;
-            self.hot_state = resident;
-            return (true, None);
-        }
-        let evicted = if self.sets[set].len() == self.config.ways {
-            Some(self.evict_lru(set))
-        } else {
-            None
-        };
-        self.sets[set].push(Line {
-            addr: addr.0,
-            meta: pack_meta(state, clock),
-        });
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        (false, evicted)
     }
 
     /// Install `addr` with `state` unless it is already resident; a
-    /// resident line is left untouched (no LRU stamp — the peek-then-insert
-    /// pair this replaces did not stamp either). Returns any eviction.
+    /// resident line keeps its place in the recency order (the
+    /// peek-then-insert pair this replaces did not touch it either).
+    /// Returns any eviction.
     #[inline]
     pub fn insert_if_absent(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
-        if addr.0 == self.hot_addr {
+        let set = self.ways_of_mut(addr);
+        if find_way(set, addr.0).is_some() {
             return None;
         }
-        let set = self.set_index(addr);
-        if find_way(&self.sets[set], addr.0).is_some() {
-            return None;
-        }
-        self.clock += 1;
-        let clock = self.clock;
-        let evicted = if self.sets[set].len() == self.config.ways {
-            Some(self.evict_lru(set))
-        } else {
-            None
-        };
-        self.sets[set].push(Line {
-            addr: addr.0,
-            meta: pack_meta(state, clock),
-        });
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        evicted
+        Self::push_front(set, addr, state)
     }
 
     /// Remove `addr` (coherence invalidation or back-invalidation). Returns
     /// the state it was in, if resident.
     #[inline]
     pub fn remove(&mut self, addr: LineAddr) -> Option<MesiState> {
-        if addr.0 == self.hot_addr {
-            self.hot_addr = u64::MAX;
+        let set = self.ways_of_mut(addr);
+        let way = find_way(set, addr.0)?;
+        let word = set[way];
+        for next in way + 1..set.len() {
+            set[next - 1] = set[next];
         }
-        let set = self.set_index(addr);
-        let way = find_way(&self.sets[set], addr.0)?;
-        Some(decode_state(self.sets[set].swap_remove(way).meta))
-    }
-
-    /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        set[set.len() - 1] = 0;
+        Some(decode_state(word))
     }
 
     /// Iterate over all resident lines as `(addr, state)`.
     pub fn lines(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
-        self.sets
+        self.words[self.base..]
             .iter()
-            .flatten()
-            .map(|l| (LineAddr(l.addr), decode_state(l.meta)))
+            .filter(|&&word| word != 0)
+            .map(|&word| (LineAddr(word >> 2), decode_state(word)))
     }
 }
 
@@ -465,7 +406,7 @@ mod tests {
         c.insert(LineAddr(5), MesiState::Modified);
         assert_eq!(c.remove(LineAddr(5)), Some(MesiState::Modified));
         assert_eq!(c.remove(LineAddr(5)), None);
-        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.lines().count(), 0);
     }
 
     #[test]
@@ -485,7 +426,7 @@ mod tests {
                 c.insert(LineAddr(i), MesiState::Shared);
             }
         }
-        assert!(c.occupancy() <= 8);
+        assert!(c.lines().count() <= 8);
     }
 
     #[test]
@@ -531,6 +472,32 @@ mod tests {
                 "addr {a:#x}"
             );
         }
+    }
+
+    #[test]
+    fn sets_start_on_host_lines() {
+        for ways in [1, 2, 4, 8, 16] {
+            let c = Cache::new(CacheConfig {
+                size_bytes: 64 * 16 * ways as u64,
+                line_size: 64,
+                ways,
+                latency: 1,
+            });
+            assert_eq!(c.words[c.base..].as_ptr() as usize % 64, 0, "{ways} ways");
+            assert_eq!(c.words.len() - c.base, 16 * ways + 7 - c.base);
+        }
+    }
+
+    #[test]
+    fn line_zero_is_resident_only_when_inserted() {
+        let mut c = tiny();
+        c.insert(LineAddr(4), MesiState::Modified);
+        assert_eq!(c.peek(LineAddr(0)), None);
+        assert_eq!(c.remove(LineAddr(0)), None);
+        c.insert(LineAddr(0), MesiState::Shared);
+        assert_eq!(c.touch(LineAddr(0)), Some(MesiState::Shared));
+        assert_eq!(c.remove(LineAddr(0)), Some(MesiState::Shared));
+        assert_eq!(c.peek(LineAddr(4)), Some(MesiState::Modified));
     }
 
     #[test]

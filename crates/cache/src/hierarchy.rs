@@ -20,17 +20,17 @@
 use crate::cache::{Cache, LineAddr};
 use crate::config::HierarchyConfig;
 use crate::domain::{CohMsg, CoherenceImage, Inline, Remote, Windowed};
-use crate::lineset::LineMap;
+use crate::lineset::{LineFlags, LineMap};
 use crate::mesi::MesiState;
 use crate::stats::{CacheStats, MissKind};
 use std::ops::Range;
 
-/// [`MemoryHierarchy::history`] flag bit: the line was resident in this L2
-/// at some point (distinguishes capacity from cold misses).
-const HIST_EVER: u32 = 0;
-/// [`MemoryHierarchy::history`] flag bit: the line's copy in this L2 was
+/// [`MemoryHierarchy::history`] flag: the line has missed in this L2
+/// before, so it was resident at some point (capacity, not cold, misses).
+const HIST_EVER: u64 = 1;
+/// [`MemoryHierarchy::history`] flag: the line's copy in this L2 was
 /// destroyed by a coherence invalidation and has not re-missed yet.
-const HIST_LOST: u32 = 1;
+const HIST_LOST: u64 = 2;
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,11 +85,11 @@ pub struct MemoryHierarchy {
     /// Sibling-L1 copies invalidated under the same L2 (not an interconnect
     /// event; kept out of `CacheStats::invalidations`).
     l1_sibling_invalidations: u64,
-    /// Per-L2 miss-taxonomy history, one [`LineMap`] entry per line with
-    /// [`HIST_EVER`] (ever resident: cold vs capacity) and [`HIST_LOST`]
-    /// (lost to coherence invalidation) flag bits — one probe classifies a
-    /// miss where two separate sets took two.
-    history: Vec<LineMap>,
+    /// Per-L2 miss-taxonomy history, one [`LineFlags`] word per line that
+    /// ever missed there, with the [`HIST_EVER`] (cold vs capacity) and
+    /// [`HIST_LOST`] (lost to coherence invalidation) flags — one probe
+    /// both classifies a miss and records it.
+    history: Vec<LineFlags>,
     /// Sparse owner directory: line → bitmap of owned L2s holding it, kept
     /// by the only places L2 residency changes ([`Self::install_l2`] and
     /// [`Self::invalidate`]), and left empty when one L2 is owned: it has
@@ -145,7 +145,7 @@ impl MemoryHierarchy {
             core_to_l2,
             stats: CacheStats::default(),
             l1_sibling_invalidations: 0,
-            history: vec![LineMap::new(); groups.len()],
+            history: vec![LineFlags::new(); groups.len()],
             directory: LineMap::new(),
             cfg,
         }
@@ -485,7 +485,7 @@ impl MemoryHierarchy {
     fn invalidate<R: Remote>(&mut self, g: usize, line: LineAddr, r: &mut R) -> Option<MesiState> {
         let state = self.l2[g - self.lo].remove(line)?;
         self.stats.invalidations += 1;
-        self.history[g - self.lo].set_bit(line.0, HIST_LOST);
+        self.history[g - self.lo].update(line.0, HIST_LOST, 0);
         self.directory.clear_bit(line.0, g as u32);
         self.back_invalidate_l1s(g, line);
         r.send(CohMsg::Evict { line, g: g as u32 });
@@ -593,10 +593,10 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Install `line` into owned L2 `g`, recording residence and handling
-    /// the evicted victim (writeback if dirty, back-invalidate L1s).
+    /// Install `line` into owned L2 `g` after [`Self::classify_miss`]
+    /// recorded it, handling the evicted victim (writeback if dirty,
+    /// back-invalidate L1s).
     fn install_l2<R: Remote>(&mut self, g: usize, line: LineAddr, state: MesiState, r: &mut R) {
-        self.history[g - self.lo].set_bit(line.0, HIST_EVER);
         if self.l2.len() > 1 {
             self.directory.set_bit(line.0, g as u32);
         }
@@ -618,13 +618,14 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Count an L2 miss of `line` in `g` by its history, and record the
+    /// line as resident there (every miss installs it) with no pending
+    /// coherence loss.
     fn classify_miss(&mut self, g: usize, line: LineAddr) {
-        let history = &mut self.history[g - self.lo];
-        let flags = history.get(line.0);
-        let kind = if flags & (1 << HIST_LOST) != 0 {
-            history.clear_bit(line.0, HIST_LOST);
+        let flags = self.history[g - self.lo].update(line.0, HIST_EVER, HIST_LOST);
+        let kind = if flags & HIST_LOST != 0 {
             MissKind::Coherence
-        } else if flags & (1 << HIST_EVER) != 0 {
+        } else if flags & HIST_EVER != 0 {
             MissKind::Capacity
         } else {
             MissKind::Cold

@@ -34,4 +34,4 @@ pub use config::{CacheConfig, HierarchyConfig, L2Group};
 pub use domain::{CohMsg, CoherenceImage};
 pub use hierarchy::{AccessKind, AccessOutcome, MemOp, MemoryHierarchy};
 pub use mesi::MesiState;
-pub use stats::{CacheStats, MissKind};
+pub use stats::CacheStats;

@@ -3,7 +3,7 @@
 
 /// Classification of an L2 miss, following the taxonomy of Section III-A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissKind {
+pub(crate) enum MissKind {
     /// First access to the line by this cache ever (compulsory).
     Cold,
     /// Line was previously resident but evicted by replacement.
@@ -54,7 +54,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Record one L2 miss of the given kind.
-    pub fn record_l2_miss(&mut self, kind: MissKind) {
+    pub(crate) fn record_l2_miss(&mut self, kind: MissKind) {
         self.l2_misses += 1;
         match kind {
             MissKind::Cold => self.l2_cold_misses += 1,
