@@ -2,8 +2,9 @@
 //!
 //! A **domain** is a [`crate::MemoryHierarchy`] owning one L2 group, run
 //! by one shard. Coherence inside a domain applies inline, as in the
-//! serial engine; coherence with other domains rides [`CohMsg`] values
-//! delivered at window barriers through the deterministic delayed queue.
+//! serial engine; coherence with other domains rides [`CohMsg`] values.
+//! Each domain logs the messages it sends during a window; the barrier
+//! closing the window applies them in `(sender domain, send order)`.
 //!
 //! During a window a domain sees remote residency only through a
 //! [`CoherenceImage`] — the owner directory plus a dirty-holder mask,
@@ -238,7 +239,8 @@ mod tests {
     }
 
     /// Apply a window's messages to the image and deliver remote effects —
-    /// what the engine's barrier does, minus the delayed queue.
+    /// what the engine's barrier does with the senders' logs concatenated
+    /// in domain order.
     fn barrier(image: &mut CoherenceImage, domains: &mut [MemoryHierarchy], msgs: &[CohMsg]) {
         for m in msgs {
             image.apply_directory(m);

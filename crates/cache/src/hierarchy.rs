@@ -323,13 +323,15 @@ impl MemoryHierarchy {
         let g = self.core_to_l2[local];
         let mut cycles = self.cfg.l1d.latency;
         let mut snooped = false;
-        let remote = r.holders(line) & self.outside;
+        // Only the upgrade and miss arms read the image's holders: a hit on
+        // a Modified line needs no probe.
         let l2_hit = match self.l2[g - self.lo].touch(line) {
             Some(MesiState::Modified) => true,
             Some(MesiState::Exclusive) | Some(MesiState::Shared) => {
                 // Upgrade: invalidate every other holder; silent iff there
                 // is none (an Exclusive copy can have one only through a
                 // stale image — the bounded-lag relaxation).
+                let remote = r.holders(line) & self.outside;
                 let (holders, _) = self.invalidate_others(g, line, remote, r);
                 if holders != 0 {
                     cycles += self.cfg.write_invalidate_penalty;
@@ -345,6 +347,7 @@ impl MemoryHierarchy {
             Some(MesiState::Invalid) | None => {
                 // Write miss: read-for-ownership (BusRdX).
                 self.classify_miss(g, line);
+                let remote = r.holders(line) & self.outside;
                 let (extra, was_snooped) = self.service_write_miss(g, line, remote, home_chip, r);
                 cycles += self.cfg.l2.latency + extra;
                 snooped = was_snooped;

@@ -245,10 +245,10 @@ proptest! {
     }
 }
 
-/// What the windowed engine's barrier does, minus the delayed queue:
-/// apply every directory delta to the image, then every remote effect to
-/// the image and to the domain owning its target group (domain `d` owns
-/// groups `d * span..(d + 1) * span`).
+/// What the windowed engine's barrier does with the senders' logs
+/// concatenated in domain order: apply every directory delta to the
+/// image, then every remote effect to the image and to the domain owning
+/// its target group (domain `d` owns groups `d * span..(d + 1) * span`).
 fn barrier(
     image: &mut CoherenceImage,
     domains: &mut [MemoryHierarchy],

@@ -85,11 +85,6 @@ impl PageTable {
         }
     }
 
-    /// The frame-allocation policy in use.
-    pub fn alloc_policy(&self) -> FrameAlloc {
-        self.alloc
-    }
-
     /// The geometry this table was built for.
     pub fn geometry(&self) -> PageGeometry {
         self.geo
@@ -126,22 +121,11 @@ impl PageTable {
     pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
         self.map.get(&vpn).copied()
     }
-
-    /// Number of pages currently mapped.
-    pub fn mapped_pages(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Resident set size in bytes implied by the mapped pages.
-    pub fn resident_bytes(&self) -> u64 {
-        self.map.len() as u64 * self.geo.page_size()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::VirtAddr;
 
     #[test]
     fn first_touch_allocates_sequential_frames() {
@@ -167,20 +151,9 @@ mod tests {
     fn lookup_does_not_allocate() {
         let mut pt = PageTable::new(PageGeometry::new_4k());
         assert_eq!(pt.lookup(Vpn(3)), None);
-        assert_eq!(pt.mapped_pages(), 0);
-        let pfn = pt.walk(Vpn(3)).pfn;
-        assert_eq!(pt.lookup(Vpn(3)), Some(pfn));
-        assert_eq!(pt.mapped_pages(), 1);
-    }
-
-    #[test]
-    fn resident_bytes_counts_pages() {
-        let geo = PageGeometry::new_4k();
-        let mut pt = PageTable::new(geo);
-        for i in 0..5 {
-            pt.walk(VirtAddr(i * geo.page_size()).vpn(geo));
-        }
-        assert_eq!(pt.resident_bytes(), 5 * 4096);
+        let walk = pt.walk(Vpn(3));
+        assert!(walk.allocated, "the lookup allocated a frame");
+        assert_eq!(pt.lookup(Vpn(3)), Some(walk.pfn));
     }
 
     #[test]

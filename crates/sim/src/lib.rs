@@ -31,7 +31,6 @@ mod engine;
 pub mod hooks;
 mod jitter;
 pub mod mapping;
-mod msgq;
 mod numa;
 mod sched;
 mod shard;
